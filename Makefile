@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+.PHONY: build test vet staticcheck race check bench fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,19 @@ check: build vet staticcheck test race examples serve-smoke scheduler-smoke open
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.
 bench:
 	$(GO) run ./cmd/bench -steps 600 -trials 8 -parallel 4 -out BENCH_sweep.json
+
+# perfbench-smoke runs the end-to-end benchmark for 3 s on each listed
+# workload and fails unless every trial's simulated output matched
+# perfbench/reference.json, so a hot-path rewrite that changes results
+# cannot pass. Not part of `check`: CI runs it as its own step.
+PERFBENCH_WORKLOADS = grid21-chunk-rr openworld24-flow-fifo
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seconds 3 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]' || \
+			{ echo "perfbench-smoke: $$w failed its output check"; exit 1; }; \
+	done
 
 # fuzz smoke-runs each fuzz target briefly (go permits one -fuzz
 # pattern per invocation). The committed seed corpora always run as part

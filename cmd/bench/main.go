@@ -4,10 +4,12 @@
 // sequential and parallel Engine paths, ns/event and allocs/event in
 // the kernel, ns/chunk through a contended leaf-spine core link (the
 // simnet hot path), and the analytic flow fabric's wall-clock speedup
-// over the chunk fabric on fixed scenarios. Each run is keyed by git
-// SHA and date and
-// diffed against the previous entry; metrics that moved the wrong way
-// by more than 25% are flagged as regressions.
+// over the chunk fabric on fixed scenarios. Every metric is the median
+// of three repetitions. Each run is keyed by git SHA, date and a host
+// fingerprint (CPU model, nproc, GOMAXPROCS, Go version) and diffed
+// against the newest earlier run with the same fingerprint; metrics
+// that moved the wrong way by more than 25% are flagged as
+// regressions. Runs from other hosts are never compared.
 //
 // Usage:
 //
@@ -27,10 +29,14 @@ import (
 )
 
 // regressionTol flags metrics that moved the wrong way by more than
-// this fraction versus the previous history entry. Wall-clock numbers
-// on a shared machine are noisy; 25% separates real regressions from
-// scheduler jitter.
+// this fraction versus the baseline run. Wall-clock numbers on a shared
+// machine are noisy; 25% separates real regressions from scheduler
+// jitter.
 const regressionTol = 0.25
+
+// repetitions is how many times the benchmark runs; the recorded
+// metrics are the per-metric medians.
+const repetitions = 3
 
 // gitSHA returns the short HEAD commit hash, or "" when not in a git
 // checkout (the history entry is still useful, just undated by commit).
@@ -66,16 +72,22 @@ func main() {
 	)
 	flag.Parse()
 
-	rep, err := sweep.MeasureSweepBench(sweep.BenchConfig{
-		Steps:       *steps,
-		Trials:      *trials,
-		Parallelism: *parallel,
-		Seed:        *seed,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
+	reps := make([]*sweep.BenchReport, repetitions)
+	for i := range reps {
+		r, err := sweep.MeasureSweepBench(sweep.BenchConfig{
+			Steps:       *steps,
+			Trials:      *trials,
+			Parallelism: *parallel,
+			Seed:        *seed,
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
+		reps[i] = r
 	}
+	rep := sweep.MedianBenchReport(reps)
+	host := sweep.CurrentBenchHost()
 	hist, err := loadHistory(*out)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %s: %v\n", *out, err)
@@ -84,6 +96,7 @@ func main() {
 	hist.Append(sweep.BenchRun{
 		GitSHA: gitSHA(),
 		Date:   time.Now().UTC().Format("2006-01-02"),
+		Host:   &host,
 		Report: rep,
 	})
 	f, err := os.Create(*out)
@@ -101,8 +114,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("sweep bench: %d trials x %d steps, GOMAXPROCS=%d\n",
-		rep.Trials, rep.Steps, rep.GOMAXPROCS)
+	fmt.Printf("sweep bench: %d trials x %d steps, median of %d repetitions\n",
+		rep.Trials, rep.Steps, repetitions)
+	fmt.Printf("  host: %s\n", host)
 	fmt.Printf("  sequential: %.2fs (%.2f trials/sec)\n",
 		rep.SequentialSec, rep.TrialsPerSecSequential)
 	fmt.Printf("  parallel=%d: %.2fs (%.2f trials/sec, %.2fx speedup)\n",
@@ -124,19 +138,21 @@ func main() {
 			p.Scenario, p.Jobs, p.WallSec, p.Events, p.EventsPerSec, p.AvgJCT)
 	}
 	fmt.Printf("run %d appended to %s\n", len(hist.Runs), *out)
-	if len(hist.Runs) > 1 {
-		prev := hist.Runs[len(hist.Runs)-2]
-		label := prev.GitSHA
-		if label == "" {
-			label = "previous run"
-		}
-		if regs := hist.Regressions(regressionTol); len(regs) > 0 {
-			fmt.Printf("REGRESSIONS vs %s:\n", label)
-			for _, r := range regs {
-				fmt.Printf("  %s\n", r)
-			}
-			os.Exit(3)
-		}
-		fmt.Printf("no regressions vs %s (tolerance %.0f%%)\n", label, 100*regressionTol)
+	base := hist.Baseline()
+	if base == nil {
+		fmt.Println("no earlier run on this host; skipping the regression comparison")
+		return
 	}
+	label := base.GitSHA
+	if label == "" {
+		label = "earlier run"
+	}
+	if regs := hist.Regressions(regressionTol); len(regs) > 0 {
+		fmt.Printf("REGRESSIONS vs %s on this host:\n", label)
+		for _, r := range regs {
+			fmt.Printf("  %s\n", r)
+		}
+		os.Exit(3)
+	}
+	fmt.Printf("no regressions vs %s on this host (tolerance %.0f%%)\n", label, 100*regressionTol)
 }

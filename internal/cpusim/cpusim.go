@@ -9,6 +9,7 @@ package cpusim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -21,10 +22,12 @@ type CPU struct {
 	threads float64
 	speed   float64 // per-thread speed factor (1 = reference host)
 
-	tasks          map[*Task]struct{}
+	// tasks holds the running tasks in submission order, so tasks that
+	// finish at the same instant complete in a fixed order.
+	tasks          []*Task
 	sumDemand      float64
 	lastUpdate     float64
-	busyTime       float64 // cumulative thread-seconds of work done
+	busyTime       float64    // cumulative thread-seconds of work done
 	done           sim.Ticket // armed completion event (zero when none)
 	completedTasks uint64
 
@@ -42,6 +45,7 @@ type Task struct {
 	remaining float64 // single-thread seconds left
 	demand    float64 // thread demand (usually 1)
 	onDone    func()
+	active    bool // still in its CPU's task list
 	canceled  bool
 }
 
@@ -65,7 +69,7 @@ func NewCPUAtSpeed(k *sim.Kernel, threads, speed float64) *CPU {
 	if speed <= 0 {
 		panic(fmt.Sprintf("cpusim: speed must be positive, got %g", speed))
 	}
-	c := &CPU{k: k, threads: threads, speed: speed, tasks: make(map[*Task]struct{})}
+	c := &CPU{k: k, threads: threads, speed: speed}
 	c.onCompletionFn = c.onCompletion
 	return c
 }
@@ -122,7 +126,7 @@ func (c *CPU) advance() {
 		return
 	}
 	s := c.speedup()
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		t.remaining -= dt * s * t.demand
 		if t.remaining < 0 {
 			t.remaining = 0
@@ -140,7 +144,7 @@ func (c *CPU) reschedule() {
 	}
 	s := c.speedup()
 	earliest := sim.Forever
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		eta := t.remaining / (s * t.demand)
 		if eta < earliest {
 			earliest = eta
@@ -149,21 +153,25 @@ func (c *CPU) reschedule() {
 	c.done = c.k.PostTicket(c.k.Now()+earliest, c.onCompletionFn)
 }
 
-// onCompletion retires every task that has reached zero work.
+// onCompletion retires every task that has reached zero work, firing
+// their callbacks in submission order.
 func (c *CPU) onCompletion() {
 	c.done = sim.Ticket{}
 	c.advance()
 	const eps = 1e-12
 	finished := c.finishedBuf[:0]
-	for t := range c.tasks {
+	live := c.tasks[:0]
+	for _, t := range c.tasks {
 		if t.remaining <= eps {
+			t.active = false
+			c.sumDemand -= t.demand
 			finished = append(finished, t)
+		} else {
+			live = append(live, t)
 		}
 	}
-	for _, t := range finished {
-		delete(c.tasks, t)
-		c.sumDemand -= t.demand
-	}
+	clear(c.tasks[len(live):])
+	c.tasks = live
 	if c.sumDemand < 0 {
 		c.sumDemand = 0
 	}
@@ -208,8 +216,8 @@ func (c *CPU) Submit(work, demand float64, onDone func()) *Task {
 	}
 	t := &c.taskArena[0]
 	c.taskArena = c.taskArena[1:]
-	t.cpu, t.remaining, t.demand, t.onDone = c, work, demand, onDone
-	c.tasks[t] = struct{}{}
+	t.cpu, t.remaining, t.demand, t.onDone, t.active = c, work, demand, onDone, true
+	c.tasks = append(c.tasks, t)
 	c.sumDemand += demand
 	c.reschedule()
 	return t
@@ -222,11 +230,13 @@ func (c *CPU) Cancel(t *Task) {
 	}
 	t.canceled = true
 	t.onDone = nil
-	if _, ok := c.tasks[t]; !ok {
+	if !t.active {
 		return
 	}
 	c.advance()
-	delete(c.tasks, t)
+	t.active = false
+	i := slices.Index(c.tasks, t)
+	c.tasks = slices.Delete(c.tasks, i, i+1)
 	c.sumDemand -= t.demand
 	if c.sumDemand < 0 {
 		c.sumDemand = 0

@@ -97,6 +97,41 @@ func TestCancelPreventsCallback(t *testing.T) {
 	c.Cancel(nil)
 }
 
+// Tasks that finish at the same instant complete in submission order,
+// so a simulation that depends on that order repeats exactly.
+func TestSimultaneousCompletionsFireInSubmissionOrder(t *testing.T) {
+	for rep := 0; rep < 200; rep++ {
+		k := sim.NewKernel()
+		c := NewCPU(k, 2)
+		var order []int
+		c.Submit(1.0, 1, func() { order = append(order, 0) })
+		c.Submit(1.0, 1, func() { order = append(order, 1) })
+		k.Run(nil)
+		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+			t.Fatalf("repetition %d: completions fired in order %v, want [0 1]", rep, order)
+		}
+	}
+}
+
+// Cancelling a task from a sibling's completion callback, when both
+// finished at the same instant, suppresses the cancelled task's
+// callback.
+func TestCancelFinishedSiblingFromCallback(t *testing.T) {
+	k := sim.NewKernel()
+	c := NewCPU(k, 2)
+	var second *Task
+	fired := false
+	c.Submit(1.0, 1, func() { c.Cancel(second) })
+	second = c.Submit(1.0, 1, func() { fired = true })
+	k.Run(nil)
+	if fired {
+		t.Fatal("task cancelled by a sibling's callback still fired")
+	}
+	if c.Active() != 0 || c.Completed() != 2 {
+		t.Fatalf("active %d, completed %d; want 0 and 2", c.Active(), c.Completed())
+	}
+}
+
 func TestCancelRestoresSpeed(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewCPU(k, 1)

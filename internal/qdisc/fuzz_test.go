@@ -170,6 +170,26 @@ func FuzzHTBDequeue(f *testing.F) {
 		2, 99, 4,
 		3, 255,
 	})
+	// Deficit round robin between two classes of equal priority: both
+	// have rate 500 kB/s, ceil 1.8 MB/s and prio 0, with quanta of 10 kB
+	// and 30 kB; each gets four 10 kB chunks by switching the default
+	// class, and the drains then alternate between them.
+	f.Add([]byte{
+		0, 15, 66, 63, 1, // 1 MB/s link, default class 1
+		0, 1, 0, 15, 66, 64, 0, 27, 119, 64, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 78, 32, // add class 1
+		0, 2, 0, 15, 66, 64, 0, 27, 119, 64, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 156, 64, // add class 2
+		2, 0, 0, 0, 0, 0, 0, 39, 15, // enqueue 10 kB to class 1
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		1, 2, // default class 2
+		2, 0, 0, 0, 0, 0, 0, 39, 15, // enqueue 10 kB to class 2
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		2, 0, 0, 0, 0, 0, 0, 39, 15,
+		3, 1, 3, 1, 3, 1, 3, 1, // dequeue every 10 ms
+		7, 0, 7, 0, // drain the rest
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		h := NewHTB(1+float64(r.int31()%1_000_000), ClassID(r.byte()%6))

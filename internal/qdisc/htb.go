@@ -1,8 +1,9 @@
 package qdisc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // HTB is a two-level hierarchical token bucket: a root class bounded by
@@ -22,14 +23,23 @@ import (
 //     excess bandwidth first;
 //   - equal-priority leaves share via deficit round robin weighted by
 //     Quantum.
+//
+// The data path (Enqueue, Dequeue, ReadyAt, Len, BacklogBytes) does not
+// allocate: classes are kept in one slice sorted by (Prio, ID) that only
+// AddClass, ChangeClass and DeleteClass rebuild, and each of Dequeue's
+// two passes walks it at most twice, so a dequeue costs O(classes).
 type HTB struct {
 	rootRate   float64 // bytes/sec available for borrowing
 	rootBurst  float64 // bytes
 	rootTokens float64
 	lastUpdate float64
 
-	classes    map[ClassID]*HTBClass
-	order      []ClassID // stable iteration order (sorted by id)
+	classes map[ClassID]*HTBClass
+	// byPrio holds every class ordered by (Prio, ID); levels splits it
+	// into runs of equal Prio, in ascending Prio order.
+	byPrio     []*HTBClass
+	levels     []htbLevel
+	queued     int // chunks held in classes (the direct queue excluded)
 	classifier *Classifier
 	defClass   ClassID
 	stats      Stats
@@ -42,8 +52,17 @@ type HTB struct {
 	direct        fifoQueue
 	directPackets uint64
 
-	// rrPos holds the round-robin cursor per priority level.
-	rrPos map[int]int
+	// rrPos holds the round-robin cursor per priority value. A cursor
+	// outlives the classes at its priority, so a priority that empties
+	// and refills resumes where it left off.
+	rrPos map[int]*int
+}
+
+// htbLevel is one priority level: its classes in ID order, a sub-slice
+// of HTB.byPrio, and its round-robin cursor.
+type htbLevel struct {
+	classes []*HTBClass
+	rr      *int
 }
 
 // HTBClassConfig configures a leaf class. Rates are bytes/sec; bursts
@@ -95,7 +114,7 @@ func NewHTB(linkRate float64, defClass ClassID) *HTB {
 		classes:    make(map[ClassID]*HTBClass),
 		classifier: NewClassifier(defClass),
 		defClass:   defClass,
-		rrPos:      make(map[int]int),
+		rrPos:      make(map[int]*int),
 	}
 }
 
@@ -139,8 +158,8 @@ func (h *HTB) AddClass(id ClassID, cfg HTBClassConfig) error {
 	}
 	c := &HTBClass{ID: id, cfg: cfg, tokens: cfg.Burst, ctokens: cfg.CBurst}
 	h.classes[id] = c
-	h.order = append(h.order, id)
-	sort.Slice(h.order, func(i, j int) bool { return h.order[i] < h.order[j] })
+	h.byPrio = append(h.byPrio, c)
+	h.reindex()
 	return nil
 }
 
@@ -179,6 +198,7 @@ func (h *HTB) ChangeClass(id ClassID, cfg HTBClassConfig) error {
 	if c.ctokens > cfg.CBurst {
 		c.ctokens = cfg.CBurst
 	}
+	h.reindex()
 	return nil
 }
 
@@ -193,22 +213,47 @@ func (h *HTB) DeleteClass(id ClassID) error {
 		return fmt.Errorf("qdisc: htb class %d is non-empty", id)
 	}
 	delete(h.classes, id)
-	for i, cid := range h.order {
-		if cid == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(h.byPrio, c)
+	h.byPrio = slices.Delete(h.byPrio, i, i+1)
+	h.reindex()
 	return nil
+}
+
+// reindex re-sorts byPrio by (Prio, ID) and rebuilds the levels.
+func (h *HTB) reindex() {
+	slices.SortFunc(h.byPrio, func(a, b *HTBClass) int {
+		if c := cmp.Compare(a.cfg.Prio, b.cfg.Prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	h.levels = h.levels[:0]
+	for lo := 0; lo < len(h.byPrio); {
+		prio := h.byPrio[lo].cfg.Prio
+		hi := lo + 1
+		for hi < len(h.byPrio) && h.byPrio[hi].cfg.Prio == prio {
+			hi++
+		}
+		rr := h.rrPos[prio]
+		if rr == nil {
+			rr = new(int)
+			h.rrPos[prio] = rr
+		}
+		h.levels = append(h.levels, htbLevel{classes: h.byPrio[lo:hi], rr: rr})
+		lo = hi
+	}
 }
 
 // Class returns the leaf with the given id, or nil.
 func (h *HTB) Class(id ClassID) *HTBClass { return h.classes[id] }
 
-// Classes returns leaf ids in stable order.
+// Classes returns leaf ids in ascending order.
 func (h *HTB) Classes() []ClassID {
-	out := make([]ClassID, len(h.order))
-	copy(out, h.order)
+	out := make([]ClassID, len(h.byPrio))
+	for i, cl := range h.byPrio {
+		out[i] = cl.ID
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -234,6 +279,7 @@ func (h *HTB) Enqueue(c *Chunk, now float64) {
 	}
 	c.enqueuedAt = now
 	cl.q.push(c)
+	h.queued++
 	cl.stats.EnqueuedPackets++
 	cl.stats.EnqueuedBytes += uint64(c.Bytes)
 	h.stats.EnqueuedPackets++
@@ -255,8 +301,7 @@ func (h *HTB) refill(now float64) {
 	if h.rootTokens > h.rootBurst {
 		h.rootTokens = h.rootBurst
 	}
-	for _, id := range h.order {
-		cl := h.classes[id]
+	for _, cl := range h.byPrio {
 		cl.tokens += cl.cfg.Rate * dt
 		if cl.tokens > cl.cfg.Burst {
 			cl.tokens = cl.cfg.Burst
@@ -268,49 +313,57 @@ func (h *HTB) refill(now float64) {
 	}
 }
 
-// prioLevels returns the sorted distinct priorities of non-empty classes.
-func (h *HTB) prioLevels() []int {
-	seen := map[int]bool{}
-	var levels []int
-	for _, id := range h.order {
-		cl := h.classes[id]
-		if cl.q.len() == 0 {
-			continue
-		}
-		if !seen[cl.cfg.Prio] {
-			seen[cl.cfg.Prio] = true
-			levels = append(levels, cl.cfg.Prio)
-		}
+// canSend reports whether a class has a chunk it may send: on its own
+// guaranteed rate in the green pass, or by borrowing up to its ceil in
+// the yellow pass.
+func (c *HTBClass) canSend(green bool) bool {
+	if c.q.len() == 0 {
+		return false
 	}
-	sort.Ints(levels)
-	return levels
+	if green {
+		return c.tokens >= -tokEps
+	}
+	return c.ctokens >= -tokEps
 }
 
-// pickDRR selects the next eligible class at a priority level using a
-// quantum-weighted round robin cursor.
-func (h *HTB) pickDRR(level int, eligible func(*HTBClass) bool) *HTBClass {
-	var ring []*HTBClass
-	for _, id := range h.order {
-		cl := h.classes[id]
-		if cl.cfg.Prio == level && cl.q.len() > 0 && eligible(cl) {
-			ring = append(ring, cl)
+// pick returns the class to serve in one pass, or nil if no class can
+// send. Levels are tried in ascending Prio order. Within a level, the
+// candidates are the classes that can send, in ID order; the level's
+// cursor, taken modulo their count, selects one, and deficit round
+// robin weighted by Quantum decides when the cursor moves on.
+func (h *HTB) pick(green bool) *HTBClass {
+	for _, lv := range h.levels {
+		n := 0
+		for _, cl := range lv.classes {
+			if cl.canSend(green) {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		pos := *lv.rr % n
+		i := 0
+		for _, cl := range lv.classes {
+			if !cl.canSend(green) {
+				continue
+			}
+			if i < pos {
+				i++
+				continue
+			}
+			cl.deficit -= float64(cl.q.peek().Bytes)
+			if cl.deficit <= 0 {
+				cl.deficit += cl.cfg.Quantum
+				if cl.deficit < 0 {
+					cl.deficit = 0
+				}
+				*lv.rr = (pos + 1) % n
+			}
+			return cl
 		}
 	}
-	if len(ring) == 0 {
-		return nil
-	}
-	pos := h.rrPos[level] % len(ring)
-	cl := ring[pos]
-	head := cl.q.peek()
-	cl.deficit -= float64(head.Bytes)
-	if cl.deficit <= 0 {
-		cl.deficit += cl.cfg.Quantum
-		if cl.deficit < 0 {
-			cl.deficit = 0
-		}
-		h.rrPos[level] = (pos + 1) % len(ring)
-	}
-	return cl
+	return nil
 }
 
 // Dequeue returns the next chunk allowed to transmit at now, or nil if
@@ -329,11 +382,7 @@ func (h *HTB) Dequeue(now float64) *Chunk {
 		return ch
 	}
 	// Pass 1: green classes send on their own guaranteed rate.
-	for _, level := range h.prioLevels() {
-		cl := h.pickDRR(level, func(c *HTBClass) bool { return c.tokens >= -tokEps })
-		if cl == nil {
-			continue
-		}
+	if cl := h.pick(true); cl != nil {
 		ch := cl.q.pop()
 		cl.tokens -= float64(ch.Bytes)
 		cl.ctokens -= float64(ch.Bytes)
@@ -342,11 +391,7 @@ func (h *HTB) Dequeue(now float64) *Chunk {
 	}
 	// Pass 2: yellow classes borrow root bandwidth in priority order.
 	if h.rootTokens >= -tokEps {
-		for _, level := range h.prioLevels() {
-			cl := h.pickDRR(level, func(c *HTBClass) bool { return c.ctokens >= -tokEps })
-			if cl == nil {
-				continue
-			}
+		if cl := h.pick(false); cl != nil {
 			ch := cl.q.pop()
 			cl.ctokens -= float64(ch.Bytes)
 			h.rootTokens -= float64(ch.Bytes)
@@ -360,7 +405,9 @@ func (h *HTB) Dequeue(now float64) *Chunk {
 	return nil
 }
 
+// charge accounts a chunk just popped from cl.
 func (h *HTB) charge(cl *HTBClass, ch *Chunk) {
+	h.queued--
 	cl.stats.DequeuedPackets++
 	cl.stats.DequeuedBytes += uint64(ch.Bytes)
 	h.stats.DequeuedPackets++
@@ -377,8 +424,7 @@ func (h *HTB) ReadyAt(now float64) float64 {
 		return now
 	}
 	ready := Never
-	for _, id := range h.order {
-		cl := h.classes[id]
+	for _, cl := range h.byPrio {
 		if cl.q.len() == 0 {
 			continue
 		}
@@ -409,19 +455,13 @@ func (h *HTB) ReadyAt(now float64) float64 {
 }
 
 // Len returns total queued chunks.
-func (h *HTB) Len() int {
-	n := h.direct.len()
-	for _, id := range h.order {
-		n += h.classes[id].q.len()
-	}
-	return n
-}
+func (h *HTB) Len() int { return h.direct.len() + h.queued }
 
 // BacklogBytes returns total queued bytes.
 func (h *HTB) BacklogBytes() int64 {
 	n := h.direct.bytes
-	for _, id := range h.order {
-		n += h.classes[id].q.bytes
+	for _, cl := range h.byPrio {
+		n += cl.q.bytes
 	}
 	return n
 }
@@ -433,9 +473,9 @@ func (h *HTB) Stats() Stats { return h.stats }
 // BandDequeuedBytes returns cumulative dequeued bytes per class id as
 // a fresh map (BandCounter).
 func (h *HTB) BandDequeuedBytes() map[int]uint64 {
-	out := make(map[int]uint64, len(h.order))
-	for _, id := range h.order {
-		out[int(id)] = h.classes[id].stats.DequeuedBytes
+	out := make(map[int]uint64, len(h.byPrio))
+	for _, cl := range h.byPrio {
+		out[int(cl.ID)] = cl.stats.DequeuedBytes
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package qdisc
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -332,5 +336,242 @@ func TestHTBPanicsOnBadRate(t *testing.T) {
 func TestHTBKind(t *testing.T) {
 	if newTLsHTB(2).Kind() != "htb" {
 		t.Fatal("kind")
+	}
+}
+
+// Steady-state Enqueue, Dequeue and ReadyAt through a 16-class htb
+// allocate nothing.
+func TestHTBDataPathAllocatesNothing(t *testing.T) {
+	const classes = 16
+	h := NewHTB(linkRate, 0)
+	for i := 0; i < classes; i++ {
+		id := ClassID(i)
+		if err := h.AddClass(id, HTBClassConfig{Rate: 125_000, Ceil: linkRate, Prio: i % 6}); err != nil {
+			t.Fatal(err)
+		}
+		h.Classifier().Add(Filter{Pref: 1, Match: MatchSrcPort(5000 + i), Target: id})
+	}
+	for i := 0; i < 4*classes; i++ {
+		h.Enqueue(mkChunk(uint64(i), 5000+i%classes, 64<<10), 0)
+	}
+	now := 0.0
+	step := func() {
+		ch := h.Dequeue(now)
+		if ch == nil {
+			now = h.ReadyAt(now)
+			return
+		}
+		now += float64(ch.Bytes) / linkRate
+		h.Enqueue(ch, now)
+		h.ReadyAt(now)
+	}
+	for i := 0; i < 10_000; i++ { // let every queue reach its steady capacity
+		step()
+	}
+	if allocs := testing.AllocsPerRun(10_000, step); allocs != 0 {
+		t.Fatalf("steady-state enqueue+dequeue+ReadyAt allocates %.1f times per op", allocs)
+	}
+}
+
+// legacyHTB serves an HTB the way Dequeue did before the single-walk
+// rewrite: prioLevels collects and sorts the distinct priorities of the
+// backlogged classes on every call, and pickDRR rebuilds each level's
+// round-robin ring. It is the scheduling-order reference for
+// TestHTBMatchesLegacyOrder. green and yellow count the chunks each
+// pass served.
+type legacyHTB struct {
+	*HTB
+	rrPos         map[int]int
+	green, yellow int
+}
+
+func (h *legacyHTB) prioLevels() []int {
+	seen := map[int]bool{}
+	var levels []int
+	for _, id := range h.Classes() {
+		cl := h.classes[id]
+		if cl.q.len() == 0 {
+			continue
+		}
+		if !seen[cl.cfg.Prio] {
+			seen[cl.cfg.Prio] = true
+			levels = append(levels, cl.cfg.Prio)
+		}
+	}
+	sort.Ints(levels)
+	return levels
+}
+
+func (h *legacyHTB) pickDRR(level int, eligible func(*HTBClass) bool) *HTBClass {
+	var ring []*HTBClass
+	for _, id := range h.Classes() {
+		cl := h.classes[id]
+		if cl.cfg.Prio == level && cl.q.len() > 0 && eligible(cl) {
+			ring = append(ring, cl)
+		}
+	}
+	if len(ring) == 0 {
+		return nil
+	}
+	pos := h.rrPos[level] % len(ring)
+	cl := ring[pos]
+	head := cl.q.peek()
+	cl.deficit -= float64(head.Bytes)
+	if cl.deficit <= 0 {
+		cl.deficit += cl.cfg.Quantum
+		if cl.deficit < 0 {
+			cl.deficit = 0
+		}
+		h.rrPos[level] = (pos + 1) % len(ring)
+	}
+	return cl
+}
+
+func (h *legacyHTB) Dequeue(now float64) *Chunk {
+	if now < h.lastUpdate {
+		now = h.lastUpdate
+	}
+	h.refill(now)
+	if ch := h.direct.pop(); ch != nil {
+		h.stats.DequeuedPackets++
+		h.stats.DequeuedBytes += uint64(ch.Bytes)
+		return ch
+	}
+	for _, level := range h.prioLevels() {
+		cl := h.pickDRR(level, func(c *HTBClass) bool { return c.tokens >= -tokEps })
+		if cl == nil {
+			continue
+		}
+		ch := cl.q.pop()
+		cl.tokens -= float64(ch.Bytes)
+		cl.ctokens -= float64(ch.Bytes)
+		h.charge(cl, ch)
+		h.green++
+		return ch
+	}
+	if h.rootTokens >= -tokEps {
+		for _, level := range h.prioLevels() {
+			cl := h.pickDRR(level, func(c *HTBClass) bool { return c.ctokens >= -tokEps })
+			if cl == nil {
+				continue
+			}
+			ch := cl.q.pop()
+			cl.ctokens -= float64(ch.Bytes)
+			h.rootTokens -= float64(ch.Bytes)
+			h.charge(cl, ch)
+			h.yellow++
+			return ch
+		}
+	}
+	if h.Len() > 0 {
+		h.stats.Overlimits++
+	}
+	return nil
+}
+
+// classStats snapshots every class's counters and queue length.
+func classStats(h *HTB) string {
+	out := ""
+	for _, id := range h.Classes() {
+		cl := h.Class(id)
+		out += fmt.Sprintf("%d:%+v/%d ", id, cl.Stats(), cl.Len())
+	}
+	return out
+}
+
+// TestHTBMatchesLegacyOrder drives the htb and the legacy reference
+// through identical random programs (equal and distinct priorities,
+// mixed quanta, priority changes, deletions, traffic to missing
+// classes) and requires the same transmission order, the same ReadyAt
+// answers and the same counters.
+func TestHTBMatchesLegacyOrder(t *testing.T) {
+	var green, yellow int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const maxClasses = 8
+		def := ClassID(rng.Intn(maxClasses + 2))
+		got, ref := NewHTB(linkRate, def), &legacyHTB{HTB: NewHTB(linkRate, def), rrPos: map[int]int{}}
+		for i := 0; i < maxClasses+2; i++ {
+			f := Filter{Pref: 1, Match: MatchSrcPort(5000 + i), Target: ClassID(i)}
+			got.Classifier().Add(f)
+			ref.Classifier().Add(f)
+		}
+		quanta := []float64{0, 1500, 64 << 10, 300 << 10}
+		randCfg := func() HTBClassConfig {
+			rate := 125_000.0
+			if rng.Intn(3) == 0 {
+				rate = linkRate / float64(2+rng.Intn(8))
+			}
+			return HTBClassConfig{
+				Rate:    rate,
+				Ceil:    linkRate / float64(1+rng.Intn(2)),
+				Prio:    rng.Intn(3),
+				Quantum: quanta[rng.Intn(len(quanta))],
+			}
+		}
+		now := 0.0
+		flow := uint64(0)
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 2:
+				id, cfg := ClassID(rng.Intn(maxClasses)), randCfg()
+				e1, e2 := got.AddClass(id, cfg), ref.AddClass(id, cfg)
+				if (e1 == nil) != (e2 == nil) {
+					t.Fatalf("seed %d op %d: AddClass errors %v vs %v", seed, op, e1, e2)
+				}
+			case r < 3:
+				id := ClassID(rng.Intn(maxClasses))
+				cfg := HTBClassConfig{Prio: rng.Intn(3), Quantum: quanta[rng.Intn(len(quanta))]}
+				e1, e2 := got.ChangeClass(id, cfg), ref.ChangeClass(id, cfg)
+				if (e1 == nil) != (e2 == nil) {
+					t.Fatalf("seed %d op %d: ChangeClass errors %v vs %v", seed, op, e1, e2)
+				}
+			case r < 4:
+				id := ClassID(rng.Intn(maxClasses))
+				e1, e2 := got.DeleteClass(id), ref.DeleteClass(id)
+				if (e1 == nil) != (e2 == nil) {
+					t.Fatalf("seed %d op %d: DeleteClass errors %v vs %v", seed, op, e1, e2)
+				}
+			case r < 11:
+				flow++
+				port := 5000 + rng.Intn(maxClasses+3)
+				bytes := int64(1 + rng.Intn(256<<10))
+				got.Enqueue(mkChunk(flow, port, bytes), now)
+				ref.Enqueue(mkChunk(flow, port, bytes), now)
+			default:
+				if rng.Intn(4) == 0 {
+					now += rng.Float64() * 1e-3
+				}
+				a, b := got.Dequeue(now), ref.Dequeue(now)
+				if (a == nil) != (b == nil) || (a != nil && a.FlowID != b.FlowID) {
+					t.Fatalf("seed %d op %d: dequeued %v, legacy dequeued %v", seed, op, a, b)
+				}
+				if a != nil {
+					now += float64(a.Bytes) / linkRate
+					continue
+				}
+				ra, rb := got.ReadyAt(now), ref.ReadyAt(now)
+				if ra != rb {
+					t.Fatalf("seed %d op %d: ReadyAt %g, legacy %g", seed, op, ra, rb)
+				}
+				if ra < Never {
+					now = ra
+				}
+			}
+		}
+		if got.Stats() != ref.Stats() {
+			t.Fatalf("seed %d: stats %+v, legacy %+v", seed, got.Stats(), ref.Stats())
+		}
+		if a, b := classStats(got), classStats(ref.HTB); a != b {
+			t.Fatalf("seed %d: class stats\n%s\nlegacy\n%s", seed, a, b)
+		}
+		if !reflect.DeepEqual(got.BandDequeuedBytes(), ref.BandDequeuedBytes()) {
+			t.Fatalf("seed %d: band counters differ", seed)
+		}
+		green += ref.green
+		yellow += ref.yellow
+	}
+	if green == 0 || yellow == 0 {
+		t.Fatalf("programs served %d green and %d yellow chunks; want both passes", green, yellow)
 	}
 }

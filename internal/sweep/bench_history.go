@@ -1,20 +1,108 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 )
 
 // BenchRun is one dated benchmark snapshot in the BENCH_sweep.json
 // history. GitSHA and Date identify when the snapshot was taken; both
 // are best-effort (empty for runs migrated from the legacy
-// single-report format or taken outside a git checkout).
+// single-report format or taken outside a git checkout). Host
+// identifies the machine; runs recorded before hosts were stamped have
+// none and are never compared.
 type BenchRun struct {
 	GitSHA string       `json:"git_sha,omitempty"`
 	Date   string       `json:"date,omitempty"` // YYYY-MM-DD, UTC
+	Host   *BenchHost   `json:"host,omitempty"`
 	Report *BenchReport `json:"report"`
+}
+
+// BenchHost fingerprints the machine a run was measured on. Wall-clock
+// metrics are only comparable between runs with equal fingerprints.
+type BenchHost struct {
+	CPUModel   string `json:"cpu_model"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// String renders the fingerprint on one line.
+func (h BenchHost) String() string {
+	return fmt.Sprintf("%s, nproc %d, GOMAXPROCS %d, %s", h.CPUModel, h.NProc, h.GOMAXPROCS, h.GoVersion)
+}
+
+// CurrentBenchHost fingerprints this machine. The CPU model is the
+// first "model name" in /proc/cpuinfo, or "unknown" where there is
+// none (non-Linux, some ARM kernels).
+func CurrentBenchHost() BenchHost {
+	h := BenchHost{
+		CPUModel:   "unknown",
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return h
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			h.CPUModel = strings.TrimSpace(v)
+			break
+		}
+	}
+	return h
+}
+
+// MedianBenchReport combines repeated measurements of one benchmark
+// configuration: every wall-clock metric is the median across reps,
+// and the deterministic counts (events, chunks, jobs) come from the
+// first. reps must be non-empty and share one configuration.
+func MedianBenchReport(reps []*BenchReport) *BenchReport {
+	out := *reps[0]
+	out.ShardScale = slices.Clone(out.ShardScale)
+	out.FlowVsChunk = slices.Clone(out.FlowVsChunk)
+	out.OpenWorld = slices.Clone(out.OpenWorld)
+	vals := make([]float64, len(reps))
+	median := func(field func(*BenchReport) *float64) {
+		for i, r := range reps {
+			vals[i] = *field(r)
+		}
+		slices.Sort(vals)
+		*field(&out) = vals[len(vals)/2]
+	}
+	median(func(r *BenchReport) *float64 { return &r.SequentialSec })
+	median(func(r *BenchReport) *float64 { return &r.ParallelSec })
+	median(func(r *BenchReport) *float64 { return &r.TrialsPerSecSequential })
+	median(func(r *BenchReport) *float64 { return &r.TrialsPerSecParallel })
+	median(func(r *BenchReport) *float64 { return &r.Speedup })
+	median(func(r *BenchReport) *float64 { return &r.NsPerEvent })
+	median(func(r *BenchReport) *float64 { return &r.AllocsPerEvent })
+	median(func(r *BenchReport) *float64 { return &r.FabricNsPerChunk })
+	for i := range out.ShardScale {
+		median(func(r *BenchReport) *float64 { return &r.ShardScale[i].WallSec })
+		median(func(r *BenchReport) *float64 { return &r.ShardScale[i].Speedup })
+	}
+	for i := range out.FlowVsChunk {
+		median(func(r *BenchReport) *float64 { return &r.FlowVsChunk[i].ChunkSec })
+		median(func(r *BenchReport) *float64 { return &r.FlowVsChunk[i].FlowSec })
+		median(func(r *BenchReport) *float64 { return &r.FlowVsChunk[i].Speedup })
+	}
+	for i := range out.OpenWorld {
+		median(func(r *BenchReport) *float64 { return &r.OpenWorld[i].WallSec })
+		median(func(r *BenchReport) *float64 { return &r.OpenWorld[i].EventsPerSec })
+	}
+	return &out
 }
 
 // BenchHistory is the append-only run log persisted to
@@ -67,19 +155,37 @@ func (h *BenchHistory) Last() *BenchRun {
 	return &h.Runs[len(h.Runs)-1]
 }
 
-// Regressions compares the newest run against the one before it and
-// reports every metric that moved the wrong way by more than tol (a
-// fraction: 0.25 flags a >25% move). Throughput regresses by falling;
-// per-event and per-chunk costs regress by rising. When the two runs
-// used different sizing (steps/trials/parallelism), wall-clock
-// throughput is not comparable and only the per-unit kernel and fabric
-// costs are checked.
-func (h *BenchHistory) Regressions(tol float64) []string {
-	if len(h.Runs) < 2 {
+// Baseline returns the newest earlier run measured on the same host as
+// the newest run, or nil when there is none (or the newest run has no
+// host fingerprint).
+func (h *BenchHistory) Baseline() *BenchRun {
+	last := h.Last()
+	if last == nil || last.Host == nil {
 		return nil
 	}
-	was, now := h.Runs[len(h.Runs)-2].Report, h.Runs[len(h.Runs)-1].Report
-	if was == nil || now == nil {
+	for i := len(h.Runs) - 2; i >= 0; i-- {
+		if r := &h.Runs[i]; r.Host != nil && *r.Host == *last.Host && r.Report != nil {
+			return r
+		}
+	}
+	return nil
+}
+
+// Regressions compares the newest run against its Baseline and reports
+// every metric that moved the wrong way by more than tol (a fraction:
+// 0.25 flags a >25% move). Throughput regresses by falling; per-event
+// and per-chunk costs regress by rising. When the two runs used
+// different sizing (steps/trials/parallelism), wall-clock throughput is
+// not comparable and only the per-unit kernel and fabric costs are
+// checked. With no baseline there is nothing to compare and nil is
+// returned.
+func (h *BenchHistory) Regressions(tol float64) []string {
+	base := h.Baseline()
+	if base == nil {
+		return nil
+	}
+	was, now := base.Report, h.Last().Report
+	if now == nil {
 		return nil
 	}
 	var out []string

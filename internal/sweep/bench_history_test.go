@@ -70,15 +70,17 @@ func TestBenchHistoryEmptyAndGarbageInput(t *testing.T) {
 	}
 }
 
+var benchHost = &BenchHost{CPUModel: "Test CPU", NProc: 8, GOMAXPROCS: 8, GoVersion: "go1.24.0"}
+
 func TestBenchHistoryRegressions(t *testing.T) {
 	h := &BenchHistory{}
-	h.Append(BenchRun{Report: benchReport(250)})
+	h.Append(BenchRun{Host: benchHost, Report: benchReport(250)})
 	if regs := h.Regressions(0.25); regs != nil {
 		t.Fatalf("single run cannot regress: %v", regs)
 	}
 
 	// Within tolerance: no flags.
-	h.Append(BenchRun{Report: benchReport(280)})
+	h.Append(BenchRun{Host: benchHost, Report: benchReport(280)})
 	if regs := h.Regressions(0.25); len(regs) != 0 {
 		t.Fatalf("12%% ns/event rise should pass at 25%% tolerance: %v", regs)
 	}
@@ -86,7 +88,7 @@ func TestBenchHistoryRegressions(t *testing.T) {
 	// Kernel cost doubles and parallel throughput halves: both flagged.
 	bad := benchReport(500)
 	bad.TrialsPerSecParallel = 3
-	h.Append(BenchRun{Report: bad})
+	h.Append(BenchRun{Host: benchHost, Report: bad})
 	regs := h.Regressions(0.25)
 	if len(regs) != 2 {
 		t.Fatalf("want 2 regressions, got %v", regs)
@@ -100,8 +102,67 @@ func TestBenchHistoryRegressions(t *testing.T) {
 	resized := benchReport(500)
 	resized.Steps = 1200
 	resized.TrialsPerSecParallel = 1
-	h.Append(BenchRun{Report: resized})
+	h.Append(BenchRun{Host: benchHost, Report: resized})
 	if regs := h.Regressions(0.25); len(regs) != 0 {
 		t.Fatalf("resized run should not flag throughput: %v", regs)
+	}
+}
+
+// A run is compared only against the newest earlier run from the same
+// host; runs from other hosts, and runs recorded without a host, are
+// skipped.
+func TestBenchHistoryComparesSameHostOnly(t *testing.T) {
+	other := *benchHost
+	other.CPUModel = "Other CPU"
+	h := &BenchHistory{}
+	h.Append(BenchRun{Report: benchReport(100)}) // legacy: no host
+	h.Append(BenchRun{Host: benchHost, Report: benchReport(250)})
+	h.Append(BenchRun{GitSHA: "fast", Host: &other, Report: benchReport(100)})
+	h.Append(BenchRun{Host: benchHost, Report: benchReport(280)})
+	if base := h.Baseline(); base == nil || base.Report.NsPerEvent != 250 {
+		t.Fatalf("baseline %+v, want the earlier same-host run", base)
+	}
+	if regs := h.Regressions(0.25); len(regs) != 0 {
+		t.Fatalf("12%% rise vs the same host flagged, or another host compared: %v", regs)
+	}
+
+	h.Append(BenchRun{Host: &BenchHost{CPUModel: "New CPU"}, Report: benchReport(900)})
+	if base := h.Baseline(); base != nil {
+		t.Fatalf("first run on a new host has baseline %+v", base)
+	}
+	if regs := h.Regressions(0.25); regs != nil {
+		t.Fatalf("first run on a new host flagged: %v", regs)
+	}
+
+	h.Append(BenchRun{Report: benchReport(900)})
+	if base := h.Baseline(); base != nil {
+		t.Fatalf("run without a host has baseline %+v", base)
+	}
+}
+
+func TestMedianBenchReport(t *testing.T) {
+	reps := []*BenchReport{benchReport(300), benchReport(100), benchReport(200)}
+	for i, r := range reps {
+		r.FlowVsChunk = []FlowVsChunkPoint{{Scenario: "s", ChunkSec: float64(3 - i), FlowSec: 1, Speedup: float64(3 - i)}}
+	}
+	m := MedianBenchReport(reps)
+	if m.NsPerEvent != 200 {
+		t.Fatalf("median ns/event %g, want 200", m.NsPerEvent)
+	}
+	if got := m.FlowVsChunk[0].Speedup; got != 2 {
+		t.Fatalf("median flow-vs-chunk speedup %g, want 2", got)
+	}
+	if reps[0].NsPerEvent != 300 || reps[0].FlowVsChunk[0].Speedup != 3 {
+		t.Fatal("MedianBenchReport modified its input")
+	}
+	if m.Events != reps[0].Events || m.Trials != reps[0].Trials {
+		t.Fatal("median lost the deterministic counts")
+	}
+}
+
+func TestCurrentBenchHost(t *testing.T) {
+	h := CurrentBenchHost()
+	if h.CPUModel == "" || h.NProc < 1 || h.GOMAXPROCS < 1 || h.GoVersion == "" {
+		t.Fatalf("incomplete fingerprint %+v", h)
 	}
 }

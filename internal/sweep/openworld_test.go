@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -140,5 +142,37 @@ func TestOpenWorldTrialCancellation(t *testing.T) {
 	cancel()
 	if _, err := OpenWorldTrial(ctx, OpenWorldTrialConfig{Steps: 300, Seed: 42}); err == nil {
 		t.Error("pre-cancelled trial returned no error")
+	}
+}
+
+// The bursty, heterogeneous, flow-fabric TLs-SRSF open-world trial
+// must repeat exactly: tasks on one host's CPU can finish at the same
+// instant, and their completions must fire in a fixed order rather than
+// Go's randomized map order. These seeds gave a different output on
+// nearly every run while cpusim kept its tasks in a map.
+func TestOpenWorldSRSFRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine 24-job open-world trials")
+	}
+	for _, seed := range []int64{1, 2, 4} {
+		cfg := OpenWorldTrialConfig{
+			Steps: 10_000, Seed: seed, Arrivals: "bursty", Heterogeneous: true,
+			PolicyName: "TLs-SRSF", Jobs: 24, FabricMode: simnet.ModeFlow,
+		}
+		var first *OpenWorldTrialResult
+		for run := 0; run < 3; run++ {
+			res, err := OpenWorldTrial(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if !reflect.DeepEqual(res.JCTs, first.JCTs) || res.Events != first.Events {
+				t.Fatalf("seed %d run %d: JCTs %v events %d; run 0 gave %v events %d",
+					seed, run, res.JCTs, res.Events, first.JCTs, first.Events)
+			}
+		}
 	}
 }
