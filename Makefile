@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv perfbench-smoke
+.PHONY: build fmt test vet staticcheck race check bench fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv perfbench-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing the files, when any tracked Go file is not
+# gofmt-clean. It checks only; run `gofmt -w` on the listed files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -21,10 +27,8 @@ staticcheck:
 	fi
 
 # Race-detect the whole module: psrpc runs real goroutines and sockets,
-# sweep's parallel Engine drives concurrent simulations (now including
-# the collective workload), and the sharded engine runs one simulation's
-# shards on parallel goroutines (sim.ShardedKernel, sweep.RunSharded and
-# their stress tests), so nothing is exempt.
+# and sweep's parallel Engine drives concurrent simulations (including
+# the collective workload), so nothing is exempt.
 race:
 	$(GO) test -race -timeout 45m ./...
 
@@ -57,7 +61,7 @@ openworld-smoke:
 flow-equiv:
 	$(GO) test ./internal/sweep -run '^TestFlowEquiv' -count=1 -v
 
-check: build vet staticcheck test race examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+check: build fmt vet staticcheck test race examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.

@@ -177,7 +177,10 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	c.mu.Lock()
 	names := append([]string(nil), c.names...)
 	sort.Strings(names)
-	type line struct{ labels string; v float64 }
+	type line struct {
+		labels string
+		v      float64
+	}
 	type block struct {
 		name, help, typ string
 		lines           []line

@@ -64,6 +64,9 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	// A misspelled or retired field would otherwise be dropped silently
+	// and a different experiment than the one asked for would run.
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad submit body: %v", err)})
 		return

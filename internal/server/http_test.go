@@ -240,17 +240,28 @@ func TestHTTPHealthReadyMetricsAndDrain(t *testing.T) {
 
 func TestHTTPBadSubmitBody(t *testing.T) {
 	cfg := testConfig(t)
-	_, ts := httpServer(t, cfg)
-	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	s, ts := httpServer(t, cfg)
+	for _, body := range []string{
+		"{not json",
+		// Unknown fields: a misspelled policy, and a retired option.
+		`{"config":{"Polcy":"TLs-RR"}}`,
+		`{"config":{"Sharded":{"Shards":2}}}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: %d, want 400", body, resp.StatusCode)
+		}
+		if derr != nil || eb.Error == "" {
+			t.Fatalf("body %s: error payload: %v %+v", body, derr, eb)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: %d, want 400", resp.StatusCode)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
-		t.Fatalf("bad body error payload: %v %+v", err, eb)
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected bodies were queued: %+v", jobs)
 	}
 }

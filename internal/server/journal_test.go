@@ -55,6 +55,26 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalReplaysRetiredFields: replay stays lenient where the HTTP
+// door is strict. A record written by an older binary may carry config
+// fields that no longer exist (here the retired "Sharded" option); it
+// must still replay, with the fields it shares intact.
+func TestJournalReplaysRetiredFields(t *testing.T) {
+	path := journalPath(t)
+	old := `{"t":"submitted","id":"j000000","hash":"h","config":{"NumJobs":2,"Steps":50,"Seed":9,"Sharded":null}}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(recs) != 1 || recs[0].Config == nil || recs[0].Config.Seed != 9 || recs[0].Config.NumJobs != 2 {
+		t.Fatalf("replay got %+v, want the submitted record with its config", recs)
+	}
+}
+
 func TestJournalTornTailDiscarded(t *testing.T) {
 	// A crash mid-append leaves a half-written final line. Replay must
 	// drop it (it was never acknowledged) and truncate, so the next

@@ -16,13 +16,11 @@ type Time = float64
 // Forever is a sentinel meaning "never" for schedule horizons.
 const Forever Time = math.MaxFloat64
 
-// Event is a scheduled callback. Events fire in (time, priority, seq)
-// order: earlier time first, then lower priority value, then insertion
-// order. The priority field lets callers order simultaneous events
-// deterministically (e.g. "complete transfers before starting new ones").
+// Event is a scheduled callback. Events fire in (time, seq) order:
+// earlier time first, then insertion order.
 type Event struct {
-	at       Time
-	fn       func()
+	at Time
+	fn func()
 	// fnA/arg is the allocation-free alternative to closing over a single
 	// pointer: PostArg events carry the argument in the event struct, so
 	// hot paths that would otherwise build a one-word closure per event
@@ -30,7 +28,6 @@ type Event struct {
 	fnA      func(any)
 	arg      any
 	seq      uint64
-	priority int32
 	index    int32 // heap index; -1 when not queued
 	canceled bool
 	// pooled marks events scheduled through Post*: no handle was ever
@@ -50,13 +47,10 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Pending reports whether the event is still queued and not canceled.
 func (e *Event) Pending() bool { return !e.canceled && e.index >= 0 }
 
-// before is the queue ordering: (at, priority, seq) ascending.
+// before is the queue ordering: (at, seq) ascending.
 func (e *Event) before(o *Event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.priority != o.priority {
-		return e.priority < o.priority
 	}
 	return e.seq < o.seq
 }
@@ -73,7 +67,7 @@ type Kernel struct {
 	free []*Event
 	// allocs counts Event structs allocated (not served from the pool).
 	allocs uint64
-	// batch is Run's scratch for draining same-(at, priority) event runs.
+	// batch is Run's scratch for draining same-time event runs.
 	batch []*Event
 	// Hard safety cap on events fired in one Run; prevents runaway
 	// simulations from spinning forever. Zero means no cap.
@@ -104,20 +98,15 @@ func (k *Kernel) EventAllocs() uint64 { return k.allocs }
 // not yet discarded).
 func (k *Kernel) Pending() int { return len(k.queue) }
 
-// Schedule queues fn to run at absolute time at with priority 0.
+// Schedule queues fn to run at absolute time at.
 // Scheduling in the past panics: it always indicates a model bug.
 func (k *Kernel) Schedule(at Time, fn func()) *Event {
-	return k.newEvent(at, 0, fn, false)
+	return k.newEvent(at, fn, false)
 }
 
 // ScheduleAfter queues fn to run delay seconds from now.
 func (k *Kernel) ScheduleAfter(delay Time, fn func()) *Event {
-	return k.newEvent(k.now+delay, 0, fn, false)
-}
-
-// SchedulePrio queues fn at time at with an explicit tie-break priority.
-func (k *Kernel) SchedulePrio(at Time, priority int, fn func()) *Event {
-	return k.newEvent(at, priority, fn, false)
+	return k.newEvent(k.now+delay, fn, false)
 }
 
 // Post queues fn at absolute time at without returning a cancellation
@@ -126,17 +115,12 @@ func (k *Kernel) SchedulePrio(at Time, priority int, fn func()) *Event {
 // propagation, delivery) run allocation-free. Use Schedule when the
 // caller needs to Cancel or inspect the event later.
 func (k *Kernel) Post(at Time, fn func()) {
-	k.newEvent(at, 0, fn, true)
+	k.newEvent(at, fn, true)
 }
 
 // PostAfter queues fn to run delay seconds from now, without a handle.
 func (k *Kernel) PostAfter(delay Time, fn func()) {
-	k.newEvent(k.now+delay, 0, fn, true)
-}
-
-// PostPrio queues fn at time at with a tie-break priority, no handle.
-func (k *Kernel) PostPrio(at Time, priority int, fn func()) {
-	k.newEvent(at, priority, fn, true)
+	k.newEvent(k.now+delay, fn, true)
 }
 
 // PostArg queues fn(arg) at absolute time at, without a handle. The
@@ -147,7 +131,7 @@ func (k *Kernel) PostArg(at Time, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: schedule nil func")
 	}
-	e := k.newEvent(at, 0, nilFunc, true)
+	e := k.newEvent(at, nilFunc, true)
 	e.fn = nil
 	e.fnA = fn
 	e.arg = arg
@@ -158,7 +142,7 @@ func (k *Kernel) PostArgAfter(delay Time, fn func(any), arg any) {
 	k.PostArg(k.now+delay, fn, arg)
 }
 
-func (k *Kernel) newEvent(at Time, priority int, fn func(), pooled bool) *Event {
+func (k *Kernel) newEvent(at Time, fn func(), pooled bool) *Event {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %.9f before now %.9f", at, k.now))
 	}
@@ -178,7 +162,6 @@ func (k *Kernel) newEvent(at Time, priority int, fn func(), pooled bool) *Event 
 	e.at = at
 	e.fn = fn
 	e.seq = k.seq
-	e.priority = int32(priority)
 	e.index = -1
 	e.canceled = false
 	e.pooled = pooled
@@ -237,7 +220,7 @@ func (t Ticket) Active() bool {
 // the event struct recycles through the pool, and the stale ticket left
 // behind after it fires is harmless.
 func (k *Kernel) PostTicket(at Time, fn func()) Ticket {
-	e := k.newEvent(at, 0, fn, true)
+	e := k.newEvent(at, fn, true)
 	return Ticket{ev: e, seq: e.seq}
 }
 
@@ -281,14 +264,14 @@ func (k *Kernel) Step() bool {
 // Run fires events until the queue drains or until stop returns true
 // (checked before each event). It returns the number of events fired.
 //
-// Run batch-drains the heap: all head events sharing the same
-// (time, priority) are popped in one pass and dispatched without
-// re-entering the heap per event, which skips one sift-down per
-// simultaneous event — the common case in barrier-heavy workloads
-// (window kicks, collective steps). Firing order is identical to the
-// one-Step-at-a-time loop: batch members fire in seq order, and if a
-// callback schedules an event that sorts before the rest of the batch,
-// the tail is pushed back so the new event takes its proper turn.
+// Run batch-drains the heap: all head events sharing the same time are
+// popped in one pass and dispatched without re-entering the heap per
+// event, which skips one sift-down per simultaneous event — the common
+// case in barrier-heavy workloads (window kicks, collective steps).
+// Firing order is identical to the one-Step-at-a-time loop: batch
+// members fire in seq order, and an event a callback schedules can never
+// sort before the rest of the batch, since it fires no earlier and
+// carries a later seq.
 func (k *Kernel) Run(stop func() bool) uint64 {
 	start := k.nFired
 	batch := k.batch[:0]
@@ -299,7 +282,7 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 		k.batch = batch[:0]
 	}()
 	for {
-		// Collect the run of head events sharing (at, priority).
+		// Collect the run of head events sharing one timestamp.
 		batch = batch[:0]
 		for len(k.queue) > 0 {
 			e := k.queue[0]
@@ -307,7 +290,7 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 				k.recycle(k.queue.pop())
 				continue
 			}
-			if len(batch) > 0 && (e.at != batch[0].at || e.priority != batch[0].priority) {
+			if len(batch) > 0 && e.at != batch[0].at {
 				break
 			}
 			batch = append(batch, k.queue.pop())
@@ -344,23 +327,13 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 			} else {
 				fn()
 			}
-			// The callback may have scheduled an event that sorts before
-			// the rest of the batch; re-queue the tail so it fires in its
-			// proper place.
-			if i+1 < len(batch) && len(k.queue) > 0 && k.queue[0].before(batch[i+1]) {
-				for _, r := range batch[i+1:] {
-					k.queue.push(r)
-				}
-				break
-			}
 		}
 	}
 }
 
 // NextAt returns the timestamp of the earliest pending event, discarding
 // canceled events it finds on the way. ok is false when the queue is
-// empty. The sharded engine uses it to derive the next conservative
-// window from the global minimum next-event time.
+// empty.
 func (k *Kernel) NextAt() (at Time, ok bool) {
 	for len(k.queue) > 0 {
 		e := k.queue[0]
@@ -371,31 +344,6 @@ func (k *Kernel) NextAt() (at Time, ok bool) {
 		return e.at, true
 	}
 	return 0, false
-}
-
-// RunBefore fires events with timestamps strictly less than deadline,
-// leaving later events queued and the clock at the last fired event —
-// it never advances the clock to the deadline itself. This is the
-// conservative-window primitive: a shard may safely execute everything
-// before windowEnd because no cross-shard message can arrive earlier.
-// It returns the number of events fired.
-func (k *Kernel) RunBefore(deadline Time) uint64 {
-	start := k.nFired
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
-		if e.at >= deadline {
-			break
-		}
-		if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
-			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
-		}
-		k.Step()
-	}
-	return k.nFired - start
 }
 
 // RunUntil fires events with timestamps <= deadline, leaving later events
@@ -417,7 +365,7 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 }
 
-// eventHeap is a min-heap on (at, priority, seq). The heap is hand-rolled
+// eventHeap is a min-heap on (at, seq). The heap is hand-rolled
 // rather than built on container/heap: sift operations on the concrete
 // type inline and skip the interface dispatch that container/heap pays on
 // every comparison — the kernel's hottest loop.

@@ -6,35 +6,34 @@ import (
 )
 
 // buildTieHeavyWorkload schedules a random workload with many exact
-// (at, priority) ties onto k. Each event appends its model ID to *out;
+// time ties onto k. Each event appends its model ID to *out;
 // some events chain follow-ups, including same-time ones, to exercise
 // mid-batch interference.
 func buildTieHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
 	next := 0
-	var add func(at float64, prio int, depth int)
-	add = func(at float64, prio int, depth int) {
+	var add func(at float64, depth int)
+	add = func(at float64, depth int) {
 		id := next
 		next++
 		fn := func() {
 			*out = append(*out, id)
 			if depth > 0 && rng.Intn(3) == 0 {
-				// Same-time follow-up at a random priority: may sort
-				// before the rest of the current batch.
-				add(k.Now(), rng.Intn(5)-2, depth-1)
+				// Same-time follow-up scheduled mid-batch.
+				add(k.Now(), depth-1)
 			}
 			if depth > 0 && rng.Intn(3) == 0 {
-				add(k.Now()+float64(rng.Intn(3))*0.5, rng.Intn(3), depth-1)
+				add(k.Now()+float64(rng.Intn(3))*0.5, depth-1)
 			}
 		}
 		if rng.Intn(2) == 0 {
-			k.PostPrio(at, prio, fn)
+			k.Post(at, fn)
 		} else {
-			k.SchedulePrio(at, prio, fn)
+			k.Schedule(at, fn)
 		}
 	}
 	for i := 0; i < 150; i++ {
-		// Coarse times and few priorities force large simultaneous runs.
-		add(float64(rng.Intn(10)), rng.Intn(3), 2)
+		// Coarse times force large simultaneous runs.
+		add(float64(rng.Intn(10)), 2)
 	}
 }
 
@@ -71,7 +70,7 @@ func TestRunMatchesStepLoop(t *testing.T) {
 	}
 }
 
-// TestRunStopMidBatchResumes stops Run in the middle of a same-(at,prio)
+// TestRunStopMidBatchResumes stops Run in the middle of a same-time
 // batch and checks the unfired tail is re-queued so a later Run resumes
 // with identical total order.
 func TestRunStopMidBatchResumes(t *testing.T) {

@@ -8,13 +8,12 @@ import (
 // TestKernelFiringOrderProperty drives the kernel with random
 // schedule/post/cancel/reschedule sequences and checks the ordering
 // contract against a model: events fire in nondecreasing time, ties
-// break by (priority, insertion seq), canceled events never fire, and
+// break by insertion seq, canceled events never fire, and
 // nothing is lost or duplicated. Runs under -race in CI (make race).
 func TestKernelFiringOrderProperty(t *testing.T) {
 	type expect struct {
-		at   float64
-		prio int
-		seq  int // model-side insertion counter
+		at  float64
+		seq int // model-side insertion counter
 		// schedAfter is how many events had fired when this one was
 		// scheduled: tie-break ordering is only a contract between
 		// events pending in the queue together.
@@ -42,27 +41,22 @@ func TestKernelFiringOrderProperty(t *testing.T) {
 			}
 		}
 
-		schedule := func(at float64, prio int, pooled bool) {
+		schedule := func(at float64, pooled bool) {
 			seq := nextSeq
 			nextSeq++
-			e := expect{at: at, prio: prio, seq: seq, schedAfter: len(fired)}
+			e := expect{at: at, seq: seq, schedAfter: len(fired)}
 			model[seq] = e
 			fn := func() { fired = append(fired, e) }
 			if pooled {
-				switch {
-				case prio != 0:
-					k.PostPrio(at, prio, fn)
-				case rng.Intn(2) == 0:
+				if rng.Intn(2) == 0 {
 					k.Post(at, fn)
-				default:
+				} else {
 					k.PostAfter(at-k.Now(), fn)
 				}
 				return
 			}
 			var h *Event
-			if prio != 0 {
-				h = k.SchedulePrio(at, prio, fn)
-			} else if rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 {
 				h = k.Schedule(at, fn)
 			} else {
 				h = k.ScheduleAfter(at-k.Now(), fn)
@@ -75,12 +69,12 @@ func TestKernelFiringOrderProperty(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.45: // schedule at a random future (or present) time
 				at := k.Now() + float64(rng.Intn(20))*0.5
-				schedule(at, rng.Intn(5)-2, rng.Intn(2) == 0)
+				schedule(at, rng.Intn(2) == 0)
 			case r < 0.6: // cancel a random live handle
 				cancelOne()
 			case r < 0.7: // reschedule: cancel + schedule a replacement
 				cancelOne()
-				schedule(k.Now()+float64(rng.Intn(10)), rng.Intn(3)-1, false)
+				schedule(k.Now()+float64(rng.Intn(10)), false)
 			default: // fire a few events
 				for i := 0; i < 1+rng.Intn(4); i++ {
 					if !k.Step() {
@@ -119,14 +113,14 @@ func TestKernelFiringOrderProperty(t *testing.T) {
 
 		// Firing order: nondecreasing time always; among events that
 		// were pending together (b scheduled before a fired), same-time
-		// ties ordered by (priority, insertion seq).
+		// ties ordered by insertion seq.
 		for i := 1; i < len(fired); i++ {
 			a, b := fired[i-1], fired[i]
 			if b.at < a.at {
 				t.Fatalf("trial %d: time went backwards: %v after %v", trial, b, a)
 			}
 			if b.at == a.at && b.schedAfter < i {
-				if b.prio < a.prio || (b.prio == a.prio && b.seq < a.seq) {
+				if b.seq < a.seq {
 					t.Fatalf("trial %d: tie-break violated: %v fired after %v", trial, b, a)
 				}
 			}
@@ -136,7 +130,7 @@ func TestKernelFiringOrderProperty(t *testing.T) {
 
 // TestKernelPoolReuseKeepsOrdering stresses the pooled Post path mixed
 // with cancels so recycled Event structs are continually reused, and
-// asserts the (time, priority, seq) order is unaffected by reuse.
+// asserts the (time, seq) order is unaffected by reuse.
 func TestKernelPoolReuseKeepsOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	k := NewKernel()

@@ -37,21 +37,6 @@ func TestKernelTieBreakBySeq(t *testing.T) {
 	}
 }
 
-func TestKernelTieBreakByPriority(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	k.SchedulePrio(1.0, 5, func() { got = append(got, 5) })
-	k.SchedulePrio(1.0, 1, func() { got = append(got, 1) })
-	k.SchedulePrio(1.0, 3, func() { got = append(got, 3) })
-	k.Run(nil)
-	want := []int{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("priority order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false

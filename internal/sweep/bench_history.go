@@ -70,7 +70,6 @@ func CurrentBenchHost() BenchHost {
 // first. reps must be non-empty and share one configuration.
 func MedianBenchReport(reps []*BenchReport) *BenchReport {
 	out := *reps[0]
-	out.ShardScale = slices.Clone(out.ShardScale)
 	out.FlowVsChunk = slices.Clone(out.FlowVsChunk)
 	out.OpenWorld = slices.Clone(out.OpenWorld)
 	vals := make([]float64, len(reps))
@@ -89,10 +88,6 @@ func MedianBenchReport(reps []*BenchReport) *BenchReport {
 	median(func(r *BenchReport) *float64 { return &r.NsPerEvent })
 	median(func(r *BenchReport) *float64 { return &r.AllocsPerEvent })
 	median(func(r *BenchReport) *float64 { return &r.FabricNsPerChunk })
-	for i := range out.ShardScale {
-		median(func(r *BenchReport) *float64 { return &r.ShardScale[i].WallSec })
-		median(func(r *BenchReport) *float64 { return &r.ShardScale[i].Speedup })
-	}
 	for i := range out.FlowVsChunk {
 		median(func(r *BenchReport) *float64 { return &r.FlowVsChunk[i].ChunkSec })
 		median(func(r *BenchReport) *float64 { return &r.FlowVsChunk[i].FlowSec })

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,58 @@ func TestBenchHistoryComparesSameHostOnly(t *testing.T) {
 	h.Append(BenchRun{Report: benchReport(900)})
 	if base := h.Baseline(); base != nil {
 		t.Fatalf("run without a host has baseline %+v", base)
+	}
+}
+
+// TestCommittedBenchHistoryLoads reads the repository's own
+// BENCH_sweep.json. Its older runs carry fields no longer in
+// BenchReport (the retired "shard_scale" curve); the history must still
+// parse, a new run must still find its same-host baseline, and the next
+// rewrite drops the retired fields.
+func TestCommittedBenchHistoryLoads(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"shard_scale"`)) {
+		t.Fatal("BENCH_sweep.json has no shard_scale entries; the retired-field case is vacuous")
+	}
+	h, err := LoadBenchHistory(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := len(h.Runs)
+	if committed == 0 {
+		t.Fatal("no runs loaded")
+	}
+	for i, r := range h.Runs {
+		if r.Report == nil || r.Report.Events == 0 {
+			t.Fatalf("run %d lost its report: %+v", i, r)
+		}
+	}
+
+	h.Append(BenchRun{GitSHA: "base", Host: benchHost, Report: benchReport(250)})
+	h.Append(BenchRun{GitSHA: "next", Host: benchHost, Report: benchReport(260)})
+	if base := h.Baseline(); base == nil || base.GitSHA != "base" {
+		t.Fatalf("baseline %+v, want the earlier same-host run", base)
+	}
+	if regs := h.Regressions(0.25); len(regs) != 0 {
+		t.Fatalf("4%% rise flagged: %v", regs)
+	}
+
+	var buf bytes.Buffer
+	if err := h.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"shard_scale"`)) {
+		t.Fatal("rewritten history still carries shard_scale")
+	}
+	again, err := LoadBenchHistory(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Runs) != committed+2 {
+		t.Fatalf("rewritten history has %d runs, want %d", len(again.Runs), committed+2)
 	}
 }
 

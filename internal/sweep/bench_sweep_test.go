@@ -26,6 +26,43 @@ func benchTrialConfigs(n, steps int) []RunConfig {
 	return rcs
 }
 
+// TestFlowVsChunk10kPlacement pins the 10,240-host bench workload's
+// placement: job j owns the j-th block of 640 hosts, its PS on the
+// block's first host and its workers on the other 639, and no host
+// carries two jobs.
+func TestFlowVsChunk10kPlacement(t *testing.T) {
+	rc := flowVsChunk10kRun(1)
+	specs := rc.PSSpecs
+	if len(specs) != 16 {
+		t.Fatalf("%d specs, want 16", len(specs))
+	}
+	owner := make(map[int]int, rc.Cluster.Hosts)
+	claim := func(job, h int) {
+		if prev, ok := owner[h]; ok {
+			t.Fatalf("host %d in jobs %d and %d", h, prev, job)
+		}
+		owner[h] = job
+	}
+	for j, sp := range specs {
+		if sp.ID != j || sp.PSHost != 640*j {
+			t.Fatalf("job %d: ID %d, PS host %d; want PS host %d", j, sp.ID, sp.PSHost, 640*j)
+		}
+		if sp.NumWorkers != 639 || len(sp.WorkerHosts) != 639 {
+			t.Fatalf("job %d: %d workers (%d hosts), want 639", j, sp.NumWorkers, len(sp.WorkerHosts))
+		}
+		claim(j, sp.PSHost)
+		for i, h := range sp.WorkerHosts {
+			if h != sp.PSHost+1+i {
+				t.Fatalf("job %d: worker %d on host %d, want %d", j, i, h, sp.PSHost+1+i)
+			}
+			claim(j, h)
+		}
+	}
+	if len(owner) != rc.Cluster.Hosts {
+		t.Fatalf("%d hosts placed, want all %d", len(owner), rc.Cluster.Hosts)
+	}
+}
+
 // BenchmarkTrial measures one full simulation trial (the unit the
 // Engine fans out) and reports kernel events/sec.
 func BenchmarkTrial(b *testing.B) {
@@ -100,22 +137,4 @@ func BenchmarkSweepParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedTrial measures one sharded-engine trial (the
-// shard-scale workload at 4 parallel shards) and reports kernel
-// events/sec across all shards — the microbench counterpart of the
-// shard_scale entries in BENCH_sweep.json.
-func BenchmarkShardedTrial(b *testing.B) {
-	rc := shardScaleRun(1, 100)
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := RunSharded(rc, ShardOptions{Shards: 4, PlacementShards: 16, Parallel: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -188,7 +188,7 @@ func TestFlowEquivLeafSpine(t *testing.T) {
 }
 
 // TestFlowEquivCollective: mixed PS + ring all-reduce jobs sharing a
-// leaf-spine fabric (the sharded golden's shape on one kernel).
+// leaf-spine fabric.
 func TestFlowEquivCollective(t *testing.T) {
 	rings := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
 	rc := RunConfig{
