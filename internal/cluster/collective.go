@@ -124,6 +124,10 @@ func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, 
 	done := ctx.Done()
 	cancelled := done != nil && ctx.Err() != nil
 	var sinceCheck int
+	// A job's terminal state is permanent, so the stop check keeps a
+	// cursor into each list and never rescans jobs already seen done or
+	// failed.
+	var nextJob, nextCJob int
 	tb.K.Run(func() bool {
 		if cancelled {
 			return true
@@ -140,13 +144,13 @@ func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, 
 				}
 			}
 		}
-		for _, j := range jobs {
-			if !j.Done() && !j.Failed() {
+		for ; nextJob < len(jobs); nextJob++ {
+			if j := jobs[nextJob]; !j.Done() && !j.Failed() {
 				return false
 			}
 		}
-		for _, j := range cjobs {
-			if !j.Done() && !j.Failed() {
+		for ; nextCJob < len(cjobs); nextCJob++ {
+			if j := cjobs[nextCJob]; !j.Done() && !j.Failed() {
 				return false
 			}
 		}

@@ -1,7 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
 // a simulated clock, a cancellable event queue, and seeded random number
-// streams. All simulations in this repository are single-threaded per run
-// and therefore fully reproducible given a seed; parallelism is applied
+// streams. The queue is a binary heap plus a few FIFO lanes that hold
+// PostArgAfter events of one constant delay each (the chunk fabric's
+// service and propagation delays), which arrive already sorted and so
+// skip the heap; events fire in (time, seq) order either way. All
+// simulations in this repository are single-threaded per run and
+// therefore fully reproducible given a seed; parallelism is applied
 // across independent runs by higher layers (see internal/sweep's Engine).
 package sim
 
@@ -28,7 +32,7 @@ type Event struct {
 	fnA      func(any)
 	arg      any
 	seq      uint64
-	index    int32 // heap index; -1 when not queued
+	queued   bool // in the heap; lane events have no handle to ask
 	canceled bool
 	// pooled marks events scheduled through Post*: no handle was ever
 	// handed out, so the kernel may recycle the struct after it fires or
@@ -45,7 +49,7 @@ func (e *Event) At() Time { return e.at }
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Pending reports whether the event is still queued and not canceled.
-func (e *Event) Pending() bool { return !e.canceled && e.index >= 0 }
+func (e *Event) Pending() bool { return !e.canceled && e.queued }
 
 // before is the queue ordering: (at, seq) ascending.
 func (e *Event) before(o *Event) bool {
@@ -59,16 +63,18 @@ func (e *Event) before(o *Event) bool {
 // NewKernel. Kernels are single-threaded: one goroutine owns a kernel and
 // everything scheduled on it for the whole run.
 type Kernel struct {
-	now    Time
-	queue  eventHeap
+	now   Time
+	queue eventHeap
+	// lanes hold PostArgAfter events off the heap; see laneFor.
+	lanes [numLanes]lane
+	// laned counts the events in all lanes.
+	laned  int
 	seq    uint64
 	nFired uint64
 	// free recycles pooled (handle-less) events; see Post.
 	free []*Event
 	// allocs counts Event structs allocated (not served from the pool).
 	allocs uint64
-	// batch is Run's scratch for draining same-time event runs.
-	batch []*Event
 	// Hard safety cap on events fired in one Run; prevents runaway
 	// simulations from spinning forever. Zero means no cap.
 	MaxEvents uint64
@@ -78,10 +84,6 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	return &Kernel{}
 }
-
-// nilFunc stands in for fn while newEvent validates a PostArg event;
-// the caller replaces it with the fnA/arg pair.
-func nilFunc() {}
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -96,7 +98,7 @@ func (k *Kernel) EventAllocs() uint64 { return k.allocs }
 
 // Pending returns the number of events queued (including canceled events
 // not yet discarded).
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.queue) + k.laned }
 
 // Schedule queues fn to run at absolute time at.
 // Scheduling in the past panics: it always indicates a model bug.
@@ -128,26 +130,47 @@ func (k *Kernel) PostAfter(delay Time, fn func()) {
 // otherwise close over one pointer per event (the per-chunk hot paths)
 // schedule with zero allocations by reusing a long-lived fn.
 func (k *Kernel) PostArg(at Time, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: schedule nil func")
-	}
-	e := k.newEvent(at, nilFunc, true)
-	e.fn = nil
-	e.fnA = fn
-	e.arg = arg
+	k.queue.push(k.argEvent(at, fn, arg))
 }
 
 // PostArgAfter queues fn(arg) delay seconds from now, without a handle.
+// The event goes to the lane bound to delay when there is one, since the
+// hot per-chunk paths post with a handful of constant delays.
 func (k *Kernel) PostArgAfter(delay Time, fn func(any), arg any) {
-	k.PostArg(k.now+delay, fn, arg)
+	e := k.argEvent(k.now+delay, fn, arg)
+	if l := k.laneFor(delay); l != nil {
+		l.push(e)
+		k.laned++
+		return
+	}
+	k.queue.push(e)
+}
+
+func (k *Kernel) argEvent(at Time, fn func(any), arg any) *Event {
+	if fn == nil {
+		panic("sim: schedule nil func")
+	}
+	e := k.takeEvent(at, true)
+	e.fnA = fn
+	e.arg = arg
+	return e
 }
 
 func (k *Kernel) newEvent(at Time, fn func(), pooled bool) *Event {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: schedule at %.9f before now %.9f", at, k.now))
-	}
 	if fn == nil {
 		panic("sim: schedule nil func")
+	}
+	e := k.takeEvent(at, pooled)
+	e.fn = fn
+	k.queue.push(e)
+	return e
+}
+
+// takeEvent stamps a fresh or recycled event for time at with the next
+// seq; the caller sets its callback and queues it.
+func (k *Kernel) takeEvent(at Time, pooled bool) *Event {
+	if at < k.now {
+		panic(fmt.Sprintf("sim: schedule at %.9f before now %.9f", at, k.now))
 	}
 	k.seq++
 	var e *Event
@@ -160,12 +183,9 @@ func (k *Kernel) newEvent(at Time, fn func(), pooled bool) *Event {
 		k.allocs++
 	}
 	e.at = at
-	e.fn = fn
 	e.seq = k.seq
-	e.index = -1
 	e.canceled = false
 	e.pooled = pooled
-	k.queue.push(e)
 	return e
 }
 
@@ -233,101 +253,98 @@ func (k *Kernel) CancelTicket(t Ticket) {
 	}
 }
 
+// peek returns the earliest live event by (at, seq) and where it waits:
+// lane index src, or -1 for the heap. It discards canceled events it
+// finds on the way; e is nil when nothing is queued. Each lane is
+// sorted, so its first event is its minimum.
+func (k *Kernel) peek() (e *Event, src int) {
+	for {
+		e, src = nil, -1
+		if len(k.queue) > 0 {
+			e = k.queue[0]
+		}
+		if k.laned > 0 {
+			for i := range k.lanes {
+				l := &k.lanes[i]
+				if l.n == 0 {
+					continue
+				}
+				if h := l.buf[l.first]; e == nil || h.before(e) {
+					e, src = h, i
+				}
+			}
+		}
+		if e == nil || !e.canceled {
+			return e, src
+		}
+		k.recycle(k.popHead(src))
+	}
+}
+
+// popHead removes and returns the event peek reported at src.
+func (k *Kernel) popHead(src int) *Event {
+	if src < 0 {
+		return k.queue.pop()
+	}
+	k.laned--
+	return k.lanes[src].pop()
+}
+
 // Step fires the next pending event. It returns false when the queue is
 // empty (after discarding canceled events).
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		e := k.queue.pop()
-		if e.canceled {
-			k.recycle(e)
-			continue
+	e, src := k.peek()
+	if e == nil {
+		return false
+	}
+	k.popHead(src)
+	if e.at < k.now {
+		panic("sim: event queue time went backwards")
+	}
+	k.now = e.at
+	k.nFired++
+	k.fire(e)
+	return true
+}
+
+// fire recycles e and runs its callback. Recycling comes first: the
+// callback may schedule new events, which can then reuse this struct —
+// safe, as no handle exists.
+func (k *Kernel) fire(e *Event) {
+	fn, fnA, arg := e.fn, e.fnA, e.arg
+	k.recycle(e)
+	if fnA != nil {
+		fnA(arg)
+	} else {
+		fn()
+	}
+}
+
+// Run fires events until the queue drains or until stop returns true
+// (checked before each event, with the clock already advanced to that
+// event's time). It returns the number of events fired. An event that
+// stop holds back stays queued, so a later Run resumes in the same
+// order; the firing order is the one-Step-at-a-time loop's.
+func (k *Kernel) Run(stop func() bool) uint64 {
+	start := k.nFired
+	for {
+		e, src := k.peek()
+		if e == nil {
+			return k.nFired - start
 		}
 		if e.at < k.now {
 			panic("sim: event queue time went backwards")
 		}
 		k.now = e.at
-		k.nFired++
-		fn, fnA, arg := e.fn, e.fnA, e.arg
-		// Recycle before calling: the callback may schedule new events,
-		// which can then reuse this struct — safe, as no handle exists.
-		k.recycle(e)
-		if fnA != nil {
-			fnA(arg)
-		} else {
-			fn()
-		}
-		return true
-	}
-	return false
-}
-
-// Run fires events until the queue drains or until stop returns true
-// (checked before each event). It returns the number of events fired.
-//
-// Run batch-drains the heap: all head events sharing the same time are
-// popped in one pass and dispatched without re-entering the heap per
-// event, which skips one sift-down per simultaneous event — the common
-// case in barrier-heavy workloads (window kicks, collective steps).
-// Firing order is identical to the one-Step-at-a-time loop: batch
-// members fire in seq order, and an event a callback schedules can never
-// sort before the rest of the batch, since it fires no earlier and
-// carries a later seq.
-func (k *Kernel) Run(stop func() bool) uint64 {
-	start := k.nFired
-	batch := k.batch[:0]
-	defer func() {
-		for i := range batch[:cap(batch)] {
-			batch[:cap(batch)][i] = nil
-		}
-		k.batch = batch[:0]
-	}()
-	for {
-		// Collect the run of head events sharing one timestamp.
-		batch = batch[:0]
-		for len(k.queue) > 0 {
-			e := k.queue[0]
-			if e.canceled {
-				k.recycle(k.queue.pop())
-				continue
-			}
-			if len(batch) > 0 && e.at != batch[0].at {
-				break
-			}
-			batch = append(batch, k.queue.pop())
-		}
-		if len(batch) == 0 {
+		if stop != nil && stop() {
 			return k.nFired - start
 		}
-		if batch[0].at < k.now {
-			panic("sim: event queue time went backwards")
+		if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
+			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
 		}
-		k.now = batch[0].at
-		for i := 0; i < len(batch); i++ {
-			e := batch[i]
-			if e.canceled { // canceled by an earlier batch member
-				k.recycle(e)
-				continue
-			}
-			if stop != nil && stop() {
-				// Re-queue the unfired tail (including e) so the caller
-				// can resume; push preserves seq, so order is unchanged.
-				for _, r := range batch[i:] {
-					k.queue.push(r)
-				}
-				return k.nFired - start
-			}
-			if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
-				panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
-			}
-			k.nFired++
-			fn, fnA, arg := e.fn, e.fnA, e.arg
-			k.recycle(e)
-			if fnA != nil {
-				fnA(arg)
-			} else {
-				fn()
-			}
-		}
+		k.popHead(src)
+		k.nFired++
+		k.fire(e)
 	}
 }
 
@@ -335,12 +352,7 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 // canceled events it finds on the way. ok is false when the queue is
 // empty.
 func (k *Kernel) NextAt() (at Time, ok bool) {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
+	if e, _ := k.peek(); e != nil {
 		return e.at, true
 	}
 	return 0, false
@@ -349,13 +361,8 @@ func (k *Kernel) NextAt() (at Time, ok bool) {
 // RunUntil fires events with timestamps <= deadline, leaving later events
 // queued and advancing the clock to deadline if it passed it.
 func (k *Kernel) RunUntil(deadline Time) {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
-		if e.at > deadline {
+	for {
+		if e, _ := k.peek(); e == nil || e.at > deadline {
 			break
 		}
 		k.Step()
@@ -365,25 +372,87 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 }
 
-// eventHeap is a min-heap on (at, seq). The heap is hand-rolled
-// rather than built on container/heap: sift operations on the concrete
-// type inline and skip the interface dispatch that container/heap pays on
-// every comparison — the kernel's hottest loop.
+// numLanes is how many delays can hold a lane at once. The chunk fabric
+// posts with three: full-chunk service, last-chunk service and
+// propagation.
+const numLanes = 4
+
+// laneFor returns the lane for events posted delay seconds from now: the
+// one already bound to delay, else an empty lane, which it binds to
+// delay. It returns nil when every lane holds another delay; the event
+// then goes to the heap. A lane stays sorted by (at, seq) without any
+// compares: its events are stamped now+delay with one delay, now never
+// decreases and float addition is monotone, and seq only grows.
+func (k *Kernel) laneFor(delay Time) *lane {
+	var free *lane
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if l.n == 0 {
+			if free == nil {
+				free = l
+			}
+		} else if l.delay == delay {
+			return l
+		}
+	}
+	if free != nil {
+		free.delay = delay
+	}
+	return free
+}
+
+// lane is a FIFO ring of events posted with one delay.
+type lane struct {
+	delay Time
+	buf   []*Event // ring; len is zero or a power of two
+	first int      // index of the head event in buf
+	n     int      // events queued
+}
+
+func (l *lane) push(e *Event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.first+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+func (l *lane) pop() *Event {
+	e := l.buf[l.first]
+	l.buf[l.first] = nil
+	l.first = (l.first + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
+// grow doubles the ring, unrolling it so the head lands at index 0.
+func (l *lane) grow() {
+	buf := make([]*Event, max(16, 2*len(l.buf)))
+	for i := 0; i < l.n; i++ {
+		buf[i] = l.buf[(l.first+i)&(len(l.buf)-1)]
+	}
+	l.buf, l.first = buf, 0
+}
+
+// eventHeap is a min-heap on (at, seq) holding every event not in a
+// lane. The heap is hand-rolled rather than built on container/heap:
+// sift operations on the concrete type inline and skip the interface
+// dispatch that container/heap pays on every comparison. Events are
+// never removed from the middle (cancellation is lazy), so the heap
+// keeps no per-event index.
 type eventHeap []*Event
 
 func (h *eventHeap) push(e *Event) {
+	e.queued = true
 	q := append(*h, e)
 	*h = q
 	i := len(q) - 1
-	e.index = int32(i)
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !q[i].before(q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
-		q[i].index = int32(i)
-		q[parent].index = int32(parent)
 		i = parent
 	}
 }
@@ -393,14 +462,13 @@ func (h *eventHeap) pop() *Event {
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q[0].index = 0
 	q[n] = nil
 	q = q[:n]
 	*h = q
 	if n > 1 {
 		h.down(0)
 	}
-	top.index = -1
+	top.queued = false
 	return top
 }
 
@@ -420,8 +488,6 @@ func (h *eventHeap) down(i int) {
 			break
 		}
 		q[i], q[small] = q[small], q[i]
-		q[i].index = int32(i)
-		q[small].index = int32(small)
 		i = small
 	}
 }

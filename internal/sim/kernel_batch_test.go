@@ -37,21 +37,51 @@ func buildTieHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
 	}
 }
 
-// TestRunMatchesStepLoop pins the batch-drain contract: Run fires the
+// buildLaneHeavyWorkload posts chains of PostArgAfter events with three
+// repeated delays, as the chunk fabric does, so most events travel
+// through the lanes; coarse delays make lane heads tie with each other
+// and with heap events.
+func buildLaneHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
+	delays := []Time{0.5, 1, 1.5}
+	next := 0
+	var fn func(any)
+	post := func(d Time) {
+		next++
+		k.PostArgAfter(d, fn, next)
+	}
+	fn = func(a any) {
+		*out = append(*out, a.(int))
+		if next < 3000 {
+			post(delays[rng.Intn(len(delays))])
+		}
+		if rng.Intn(4) == 0 {
+			id := -a.(int)
+			k.Post(k.Now()+float64(rng.Intn(3))*0.5, func() { *out = append(*out, id) })
+		}
+	}
+	for i := 0; i < 50; i++ {
+		post(delays[rng.Intn(len(delays))])
+	}
+}
+
+// TestRunMatchesStepLoop pins Run's ordering contract: Run fires the
 // exact same event sequence as the one-Step-at-a-time loop, including
-// under same-time follow-ups scheduled mid-batch.
+// under same-time follow-ups scheduled mid-batch, on heap-only and on
+// lane-heavy workloads.
 func TestRunMatchesStepLoop(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
+	builders := []func(*Kernel, *rand.Rand, *[]int){buildTieHeavyWorkload, buildLaneHeavyWorkload}
+	for trial := 0; trial < 80; trial++ {
 		seed := int64(4000 + trial)
+		build := builders[trial%len(builders)]
 
 		var batched []int
 		kb := NewKernel()
-		buildTieHeavyWorkload(kb, rand.New(rand.NewSource(seed)), &batched)
+		build(kb, rand.New(rand.NewSource(seed)), &batched)
 		kb.Run(nil)
 
 		var stepped []int
 		ks := NewKernel()
-		buildTieHeavyWorkload(ks, rand.New(rand.NewSource(seed)), &stepped)
+		build(ks, rand.New(rand.NewSource(seed)), &stepped)
 		for ks.Step() {
 		}
 
@@ -70,9 +100,9 @@ func TestRunMatchesStepLoop(t *testing.T) {
 	}
 }
 
-// TestRunStopMidBatchResumes stops Run in the middle of a same-time
-// batch and checks the unfired tail is re-queued so a later Run resumes
-// with identical total order.
+// TestRunStopMidBatchResumes stops Run in the middle of a run of
+// same-time events and checks the unfired ones stay queued so a later
+// Run resumes with identical total order.
 func TestRunStopMidBatchResumes(t *testing.T) {
 	k := NewKernel()
 	var fired []int
@@ -100,8 +130,8 @@ func TestRunStopMidBatchResumes(t *testing.T) {
 	}
 }
 
-// TestRunCancelWithinBatch has an early batch member cancel a later one
-// after both were drained from the heap in the same pass.
+// TestRunCancelWithinBatch has an early same-time event cancel a later
+// one.
 func TestRunCancelWithinBatch(t *testing.T) {
 	k := NewKernel()
 	var fired []string

@@ -59,3 +59,37 @@ func BenchmarkKernelCancel(b *testing.B) {
 		k.Step()
 	}
 }
+
+// BenchmarkKernelChunkDelays replays the event mix of the 21-job chunk
+// fabric grid: PostArgAfter events with full-chunk service (262.144 us),
+// propagation (20 us) and last-chunk service (32.992 us) delays in a
+// 7:4:1 ratio, with 46 events pending. Each fired event posts its
+// successor, so one op is one post plus one fire. Once the lanes' rings
+// have grown, allocs/op should be ~0.
+func BenchmarkKernelChunkDelays(b *testing.B) {
+	const pending = 46
+	mix := [12]Time{
+		262.144e-6, 20e-6, 262.144e-6, 20e-6, 262.144e-6, 262.144e-6,
+		20e-6, 262.144e-6, 32.992e-6, 262.144e-6, 20e-6, 262.144e-6,
+	}
+	k := NewKernel()
+	next := 0
+	var fn func(any)
+	fn = func(any) {
+		k.PostArgAfter(mix[next%len(mix)], fn, nil)
+		next++
+	}
+	for i := 0; i < pending; i++ {
+		fn(nil)
+	}
+	for i := 0; i < 10*pending; i++ { // warm the pool and the rings
+		k.Step()
+	}
+	allocs := k.EventAllocs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.ReportMetric(float64(k.EventAllocs()-allocs)/float64(b.N), "eventallocs/op")
+}
