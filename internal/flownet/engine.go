@@ -3,6 +3,7 @@ package flownet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -17,21 +18,20 @@ type FlowID uint64
 // completion event instead.
 const completionEps = 1.0 / 16
 
-// flowState is the engine's record of one active flow.
+// flowState is the engine's record of one active flow. The embedded
+// Flow (links, weight, band) is the solver's input, handed over by
+// pointer.
 type flowState struct {
+	Flow
 	id        FlowID
-	seq       uint64 // insertion sequence; orders solver input deterministically
-	links     []int
-	bandLink  int
-	band      int
-	weight    float64
+	seq       uint64  // insertion sequence; orders solver input deterministically
 	remaining float64 // payload bytes still to serve
 	rate      float64 // current allocation, bytes/sec
 	tag       any
 
-	// attLinks is links plus bandLink (deduplicated) — every link whose
+	// attLinks is Links plus BandLink (deduplicated) — every link whose
 	// state couples this flow to others. attPos[i] is the flow's index
-	// in linkFlows[attLinks[i]], for O(1) detach.
+	// in links[attLinks[i]].flows, for O(1) detach.
 	attLinks []int
 	attPos   []int
 	inComp   bool // scratch: member of the component being re-solved
@@ -66,25 +66,16 @@ type Engine struct {
 	k      *sim.Kernel
 	onDone func(id FlowID, tag any)
 
-	caps   []float64
-	served []float64 // cumulative payload bytes through each link
-	busy   []float64 // cumulative busy-fraction-seconds per link
+	caps  []float64 // per-link capacity, the solver's input
+	links []linkState
 
-	// linkRate[l] is the current aggregate rate on link l; activeLinks
-	// lists links that have (or recently had) a positive rate, so
-	// advance cost scales with the traffic footprint. Entries whose
-	// rate dropped to zero are skipped and compacted away lazily.
-	linkRate    []float64
-	linkActive  []bool
+	// activeLinks lists exactly the links with a positive rate
+	// (linkState.pos indexes it), so advance touches only links that
+	// carry traffic.
 	activeLinks []int
-
-	// linkFlows[l] holds the active flows attached to link l (path
-	// links plus band links); dirtyLinks accumulates the links whose
-	// coupled flows need a re-solve.
-	linkFlows  [][]*flowState
-	dirtyMark  []bool
+	// dirtyLinks accumulates the links whose coupled flows need a
+	// re-solve.
 	dirtyLinks []int
-	visitMark  []bool // BFS scratch, always false between resolves
 
 	flows   map[FlowID]*flowState
 	order   []*flowState
@@ -98,17 +89,43 @@ type Engine struct {
 	// event (flushFn) performs the deferred recompute. Both callbacks
 	// are bound once so posting them never allocates a closure.
 	dirty         bool
-	flushFn       func()
+	flushFn       func(any)
 	completionsFn func()
 
 	solver    Solver
-	sflows    []Flow
+	sflows    []*Flow
 	srates    []float64
 	compFlows []*flowState
 	compLinks []int
+	prevRate  []float64 // compLinks' rates before the re-solve
 	queue     []int
 	doneBuf   []*flowState
 	resolves  uint64
+}
+
+// linkState is the engine's per-link record.
+type linkState struct {
+	rate   float64 // aggregate allocation of the link's flows
+	util   float64 // min(1, rate/cap), 0 on a down link
+	served float64 // cumulative payload bytes through the link
+	busy   float64 // cumulative busy-fraction-seconds
+	flows  []*flowState
+	pos    int32 // index in activeLinks, -1 when rate <= 0
+	// dirty marks the link queued in dirtyLinks; visited is BFS
+	// scratch, always false between resolves.
+	dirty, visited bool
+}
+
+// setUtil refreshes the cached busy fraction from rate and capacity c.
+func (ls *linkState) setUtil(c float64) {
+	ls.util = 0
+	if c > 0 {
+		u := ls.rate / c
+		if u > 1 {
+			u = 1
+		}
+		ls.util = u
+	}
 }
 
 // NewEngine creates an engine on the kernel. onDone fires — inside a
@@ -120,7 +137,7 @@ func NewEngine(k *sim.Kernel, onDone func(id FlowID, tag any)) *Engine {
 		onDone: onDone,
 		flows:  make(map[FlowID]*flowState),
 	}
-	e.flushFn = e.flush
+	e.flushFn = func(any) { e.flush() }
 	e.completionsFn = e.completions
 	return e
 }
@@ -131,13 +148,7 @@ func NewEngine(k *sim.Kernel, onDone func(id FlowID, tag any)) *Engine {
 func (e *Engine) AddLink(capacity float64) int {
 	id := len(e.caps)
 	e.caps = append(e.caps, capacity)
-	e.served = append(e.served, 0)
-	e.busy = append(e.busy, 0)
-	e.linkRate = append(e.linkRate, 0)
-	e.linkActive = append(e.linkActive, false)
-	e.linkFlows = append(e.linkFlows, nil)
-	e.dirtyMark = append(e.dirtyMark, false)
-	e.visitMark = append(e.visitMark, false)
+	e.links = append(e.links, linkState{pos: -1})
 	return id
 }
 
@@ -157,25 +168,26 @@ func (e *Engine) SetLinkCap(l int, capacity float64) {
 	}
 	e.Sync()
 	e.caps[l] = capacity
+	e.links[l].setUtil(capacity)
 	e.markLinkDirty(l)
 	e.markDirty()
 }
 
 // LinkServedBytes returns cumulative payload bytes pushed through link
 // l as of the last Sync/mutation.
-func (e *Engine) LinkServedBytes(l int) float64 { return e.served[l] }
+func (e *Engine) LinkServedBytes(l int) float64 { return e.links[l].served }
 
 // LinkBusySeconds returns the cumulative busy time of link l: the
 // integral of min(1, aggregateRate/capacity), matching the chunk
 // fabric's per-port busy-time accounting.
-func (e *Engine) LinkBusySeconds(l int) float64 { return e.busy[l] }
+func (e *Engine) LinkBusySeconds(l int) float64 { return e.links[l].busy }
 
 // LinkBacklogBytes returns the bytes still to be served across link l —
 // the fluid analogue of a port's queued backlog.
 func (e *Engine) LinkBacklogBytes(l int) float64 {
 	var b float64
 	for _, fs := range e.order {
-		for _, fl := range fs.links {
+		for _, fl := range fs.Links {
 			if fl == l {
 				b += fs.remaining
 				break
@@ -210,34 +222,10 @@ func (e *Engine) advance(now float64) {
 			}
 		}
 	}
-	idle := 0
 	for _, l := range e.activeLinks {
-		r := e.linkRate[l]
-		if r <= 0 {
-			idle++
-			continue
-		}
-		e.served[l] += r * dt
-		if c := e.caps[l]; c > 0 {
-			u := r / c
-			if u > 1 {
-				u = 1
-			}
-			e.busy[l] += u * dt
-		}
-	}
-	// Compact out links whose traffic has drained so the scan stays
-	// proportional to current activity.
-	if idle > 64 && 2*idle > len(e.activeLinks) {
-		kept := e.activeLinks[:0]
-		for _, l := range e.activeLinks {
-			if e.linkRate[l] > 0 {
-				kept = append(kept, l)
-			} else {
-				e.linkActive[l] = false
-			}
-		}
-		e.activeLinks = kept
+		ls := &e.links[l]
+		ls.served += ls.rate * dt
+		ls.busy += ls.util * dt
 	}
 }
 
@@ -250,14 +238,14 @@ func (e *Engine) attach(fs *flowState) {
 			}
 		}
 		fs.attLinks = append(fs.attLinks, l)
-		fs.attPos = append(fs.attPos, len(e.linkFlows[l]))
-		e.linkFlows[l] = append(e.linkFlows[l], fs)
+		fs.attPos = append(fs.attPos, len(e.links[l].flows))
+		e.links[l].flows = append(e.links[l].flows, fs)
 	}
-	for _, l := range fs.links {
+	for _, l := range fs.Links {
 		add(l)
 	}
-	if fs.bandLink >= 0 {
-		add(fs.bandLink)
+	if fs.BandLink >= 0 {
+		add(fs.BandLink)
 	}
 }
 
@@ -266,12 +254,12 @@ func (e *Engine) attach(fs *flowState) {
 func (e *Engine) detach(fs *flowState) {
 	for i, l := range fs.attLinks {
 		p := fs.attPos[i]
-		lf := e.linkFlows[l]
+		lf := e.links[l].flows
 		last := len(lf) - 1
 		moved := lf[last]
 		lf[p] = moved
 		lf[last] = nil
-		e.linkFlows[l] = lf[:last]
+		e.links[l].flows = lf[:last]
 		if moved != fs {
 			for j, ml := range moved.attLinks {
 				if ml == l {
@@ -287,8 +275,8 @@ func (e *Engine) detach(fs *flowState) {
 
 // markLinkDirty queues link l for the next component re-solve.
 func (e *Engine) markLinkDirty(l int) {
-	if !e.dirtyMark[l] {
-		e.dirtyMark[l] = true
+	if !e.links[l].dirty {
+		e.links[l].dirty = true
 		e.dirtyLinks = append(e.dirtyLinks, l)
 	}
 }
@@ -326,10 +314,10 @@ func (e *Engine) AddFlow(id FlowID, links []int, bandLink, band int, weight, byt
 	}
 	fs.id = id
 	fs.seq = e.nextSeq
-	fs.links = append(fs.links[:0], links...)
-	fs.bandLink = bandLink
-	fs.band = band
-	fs.weight = weight
+	fs.Links = append(fs.Links[:0], links...)
+	fs.BandLink = bandLink
+	fs.Band = band
+	fs.Weight = weight
 	fs.remaining = bytes
 	fs.rate = 0
 	fs.tag = tag
@@ -357,7 +345,7 @@ func (e *Engine) UpdateFlow(id FlowID, links []int, bandLink, band int, weight f
 	if !ok {
 		return false
 	}
-	if fs.bandLink == bandLink && fs.band == band && fs.weight == weight && intsEqual(fs.links, links) {
+	if fs.BandLink == bandLink && fs.Band == band && fs.Weight == weight && slices.Equal(fs.Links, links) {
 		return true
 	}
 	if len(links) == 0 {
@@ -366,10 +354,10 @@ func (e *Engine) UpdateFlow(id FlowID, links []int, bandLink, band int, weight f
 	e.Sync()
 	e.markFlowDirty(fs) // old coupling
 	e.detach(fs)
-	fs.links = append(fs.links[:0], links...)
-	fs.bandLink = bandLink
-	fs.band = band
-	fs.weight = weight
+	fs.Links = append(fs.Links[:0], links...)
+	fs.BandLink = bandLink
+	fs.Band = band
+	fs.Weight = weight
 	e.attach(fs)
 	e.markFlowDirty(fs) // new coupling
 	e.markDirty()
@@ -428,15 +416,16 @@ func (e *Engine) ForEach(fn func(id FlowID, tag any)) {
 // markDirty defers the allocation recompute to a same-timestamp kernel
 // event (or to the first rate read, whichever comes first). The flush
 // runs before the kernel advances past the current instant, so stale
-// rates are never integrated over a nonzero interval. The event is
-// pooled (Post, no handle): if a rate read resolves eagerly first, the
-// flush fires as a cheap no-op.
+// rates are never integrated over a nonzero interval. The event rides
+// the kernel's zero-delay lane (PostArgAfter, no handle), which fires in
+// the same (time, sequence) order as the heap: if a rate read resolves
+// eagerly first, the flush fires as a cheap no-op.
 func (e *Engine) markDirty() {
 	if e.dirty {
 		return
 	}
 	e.dirty = true
-	e.k.Post(e.k.Now(), e.flushFn)
+	e.k.PostArgAfter(0, e.flushFn, nil)
 }
 
 func (e *Engine) flush() {
@@ -471,9 +460,10 @@ func (e *Engine) resolve() {
 	e.compFlows = e.compFlows[:0]
 	e.compLinks = e.compLinks[:0]
 	for _, l := range e.dirtyLinks {
-		e.dirtyMark[l] = false
-		if !e.visitMark[l] {
-			e.visitMark[l] = true
+		ls := &e.links[l]
+		ls.dirty = false
+		if !ls.visited {
+			ls.visited = true
 			e.queue = append(e.queue, l)
 		}
 	}
@@ -481,22 +471,22 @@ func (e *Engine) resolve() {
 	for i := 0; i < len(e.queue); i++ {
 		l := e.queue[i]
 		e.compLinks = append(e.compLinks, l)
-		for _, fs := range e.linkFlows[l] {
+		for _, fs := range e.links[l].flows {
 			if fs.inComp {
 				continue
 			}
 			fs.inComp = true
 			e.compFlows = append(e.compFlows, fs)
 			for _, al := range fs.attLinks {
-				if !e.visitMark[al] {
-					e.visitMark[al] = true
+				if !e.links[al].visited {
+					e.links[al].visited = true
 					e.queue = append(e.queue, al)
 				}
 			}
 		}
 	}
 	for _, l := range e.queue {
-		e.visitMark[l] = false
+		e.links[l].visited = false
 	}
 
 	if len(e.compFlows) > 0 {
@@ -518,33 +508,48 @@ func (e *Engine) resolve() {
 		}
 		e.sflows = e.sflows[:0]
 		for _, fs := range e.compFlows {
-			e.sflows = append(e.sflows, Flow{
-				Links: fs.links, Weight: fs.weight, Band: fs.band, BandLink: fs.bandLink,
-			})
+			e.sflows = append(e.sflows, &fs.Flow)
 		}
-		e.srates = e.solver.Solve(e.caps, e.sflows, e.srates[:0])
+		e.srates = e.solver.solve(e.caps, e.sflows, e.srates[:0])
 		for i, fs := range e.compFlows {
 			fs.rate = e.srates[i]
 			fs.inComp = false
 		}
 	}
 	// Refresh the component's link aggregates; untouched links keep
-	// their rates (their flows were not in the component).
+	// their rates (their flows were not in the component). A link whose
+	// rate came out unchanged keeps its cached utilization and its
+	// place in activeLinks; SetLinkCap refreshes the utilization of a
+	// link whose capacity changed.
+	e.prevRate = e.prevRate[:0]
 	for _, l := range e.compLinks {
-		e.linkRate[l] = 0
+		e.prevRate = append(e.prevRate, e.links[l].rate)
+		e.links[l].rate = 0
 	}
 	for _, fs := range e.compFlows {
 		if fs.rate <= 0 {
 			continue
 		}
-		for _, l := range fs.links {
-			e.linkRate[l] += fs.rate
+		for _, l := range fs.Links {
+			e.links[l].rate += fs.rate
 		}
 	}
-	for _, l := range e.compLinks {
-		if e.linkRate[l] > 0 && !e.linkActive[l] {
-			e.linkActive[l] = true
+	for i, l := range e.compLinks {
+		ls := &e.links[l]
+		if ls.rate == e.prevRate[i] {
+			continue
+		}
+		ls.setUtil(e.caps[l])
+		switch {
+		case ls.rate > 0 && ls.pos < 0:
+			ls.pos = int32(len(e.activeLinks))
 			e.activeLinks = append(e.activeLinks, l)
+		case !(ls.rate > 0) && ls.pos >= 0:
+			last := e.activeLinks[len(e.activeLinks)-1]
+			e.activeLinks[ls.pos] = last
+			e.links[last].pos = ls.pos
+			e.activeLinks = e.activeLinks[:len(e.activeLinks)-1]
+			ls.pos = -1
 		}
 	}
 	e.schedule()
@@ -557,16 +562,20 @@ func (e *Engine) resolve() {
 // re-arm traffic of a busy fabric recycles one struct instead of
 // allocating per resolve.
 func (e *Engine) schedule() {
-	t := math.MaxFloat64
+	// Rounded addition is monotone, so the earliest lastT + remaining/rate
+	// is lastT plus the smallest remaining/rate: the same bits with one
+	// add instead of one per flow.
+	x := math.MaxFloat64
 	for _, fs := range e.order {
 		if fs.rate <= 0 {
 			continue
 		}
-		if at := e.lastT + fs.remaining/fs.rate; at < t {
-			t = at
+		if d := fs.remaining / fs.rate; d < x {
+			x = d
 		}
 	}
-	if t == math.MaxFloat64 {
+	t := e.lastT + x
+	if !(t < math.MaxFloat64) {
 		e.k.CancelTicket(e.next)
 		e.next = sim.Ticket{}
 		return
@@ -614,16 +623,4 @@ func (e *Engine) completions() {
 	for _, fs := range done {
 		e.release(fs)
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -189,8 +189,9 @@ func TestQuickMutationConservation(t *testing.T) {
 	}
 }
 
-// FuzzSolve decodes an arbitrary byte string into a solver scenario and
-// asserts the solver contract. Wired into `make fuzz`; seed corpus in
+// FuzzSolve decodes an arbitrary byte string into a solver scenario,
+// asserts the solver contract and requires the rates to match the
+// reference solver bit for bit. Wired into `make fuzz`; seed corpus in
 // testdata/fuzz/FuzzSolve.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
@@ -204,13 +205,17 @@ func FuzzSolve(f *testing.F) {
 		}
 		rates := Solve(caps, flows)
 		checkInvariants(t, caps, flows, rates)
+		requireSameBits(t, "fuzz input", rates, refSolve(caps, flows))
 	})
 }
 
 // decodeScenario maps fuzz bytes onto a scenario: byte 0 is the link
 // count (1..16), the next nLinks bytes are capacities (0 stays 0 — a
 // down link — otherwise scaled up), and each following record of
-// 2+nl bytes is one flow: [nLinks' nl | band+weight byte | nl link refs].
+// 2+nl bytes is one flow: [nLinks' nl | meta byte | nl link refs]. The
+// meta byte's low nibble is the weight in halves, bits 4-5 the band,
+// bit 6 keeps repeated link refs and bit 7 gates the flow at its first
+// link.
 func decodeScenario(data []byte) ([]float64, []Flow) {
 	if len(data) == 0 {
 		return nil, nil
@@ -236,7 +241,7 @@ func decodeScenario(data []byte) ([]float64, []Flow) {
 		for j := 0; j < nl && len(data) > 0; j++ {
 			l := int(data[0]) % nLinks
 			data = data[1:]
-			if !seen[l] {
+			if !seen[l] || meta&0x40 != 0 {
 				seen[l] = true
 				links = append(links, l)
 			}

@@ -11,7 +11,10 @@
 // fluid bandwidth-sharing model.
 package flownet
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Flow is one transfer demand presented to the solver.
 type Flow struct {
@@ -52,12 +55,14 @@ type Solver struct {
 	stamp   []uint64
 	epoch   uint64
 	touched []int
-	frozen  []bool
-	elig    []bool
 
-	// Rounds counts progressive-filling iterations across all Solve
-	// calls (each round freezes at least one flow), for diagnostics.
-	Rounds uint64
+	// Per-flow scratch: w is the effective weight; live lists the
+	// unfrozen flows in input order, and elig[j] marks live[j] eligible
+	// in the current round. refs is Solve's pointer view of its input.
+	w    []float64
+	live []int
+	elig []bool
+	refs []*Flow
 }
 
 // grow sizes the per-link scratch to cover link IDs [0, n).
@@ -113,70 +118,95 @@ func (s *Solver) saturated(l int, caps []float64) bool {
 //     a flow of equal or lower band;
 //   - the allocation is deterministic in the input order.
 func (s *Solver) Solve(caps []float64, flows []Flow, rates []float64) []float64 {
+	s.refs = s.refs[:0]
+	for i := range flows {
+		s.refs = append(s.refs, &flows[i])
+	}
+	return s.solve(caps, s.refs, rates)
+}
+
+// solve is Solve over flow pointers, so the engine can hand over the
+// Flow embedded in each of its flow records without copying them.
+//
+// Every value that reaches rates is computed by the same floating-point
+// operations, in the same order, as the textbook round structure
+// documented on Solve; the shortcuts below only skip work whose outcome
+// is already known:
+//   - a lone flow with distinct links is solved in closed form;
+//   - when every gated flow has the same band, all unfrozen flows are
+//     eligible, so the per-round minimum-band passes are skipped;
+//   - frozen flows drop out of the per-round scans;
+//   - residual capacities are charged before rates grow, so growth and
+//     the freeze check share one pass (neither reads the other).
+func (s *Solver) solve(caps []float64, flows []*Flow, rates []float64) []float64 {
 	n := len(flows)
 	if cap(rates) < n {
 		rates = make([]float64, n)
 	}
 	rates = rates[:n]
+	if n == 1 && distinct(flows[0].Links) {
+		rates[0] = loneRate(caps, flows[0])
+		return rates
+	}
 	s.grow(len(caps))
 	s.epoch++
 	s.touched = s.touched[:0]
-	if cap(s.frozen) < n {
-		s.frozen = make([]bool, n)
-		s.elig = make([]bool, n)
-	}
-	s.frozen = s.frozen[:n]
-	s.elig = s.elig[:n]
+	s.w = s.w[:0]
+	s.live = s.live[:0]
 
-	active := 0
-	for i := range flows {
+	// uniform: every gated flow competes in the same band, so none is
+	// ever held back by a lower band.
+	uniform, gated, band := true, false, 0
+	for i, fl := range flows {
 		rates[i] = 0
-		fl := &flows[i]
+		w := fl.Weight
+		if w <= 0 {
+			w = 1
+		}
+		s.w = append(s.w, w)
 		if len(fl.Links) == 0 {
-			s.frozen[i] = true
 			continue
 		}
-		s.frozen[i] = false
-		active++
+		s.live = append(s.live, i)
 		for _, l := range fl.Links {
 			s.touch(l, caps)
 		}
 		if fl.BandLink >= 0 {
 			s.touch(fl.BandLink, caps)
+			if !gated {
+				gated, band = true, fl.Band
+			} else if fl.Band != band {
+				uniform = false
+			}
 		}
 	}
 
-	for active > 0 {
-		s.Rounds++
-		// Lowest unfrozen band per band link gates eligibility.
-		for _, l := range s.touched {
-			s.minBand[l] = math.MaxInt64
-		}
-		for i := range flows {
-			if s.frozen[i] {
-				continue
+	for len(s.live) > 0 {
+		if !uniform {
+			// Lowest unfrozen band per band link gates eligibility.
+			for _, l := range s.touched {
+				s.minBand[l] = math.MaxInt64
 			}
-			fl := &flows[i]
-			if fl.BandLink >= 0 && int64(fl.Band) < s.minBand[fl.BandLink] {
-				s.minBand[fl.BandLink] = int64(fl.Band)
+			for _, i := range s.live {
+				fl := flows[i]
+				if fl.BandLink >= 0 && int64(fl.Band) < s.minBand[fl.BandLink] {
+					s.minBand[fl.BandLink] = int64(fl.Band)
+				}
 			}
 		}
 		// Weight pressure per link from the eligible set.
 		for _, l := range s.touched {
 			s.wsum[l] = 0
 		}
-		for i := range flows {
-			fl := &flows[i]
-			el := !s.frozen[i] &&
-				(fl.BandLink < 0 || int64(fl.Band) == s.minBand[fl.BandLink])
-			s.elig[i] = el
+		s.elig = s.elig[:0]
+		for _, i := range s.live {
+			fl := flows[i]
+			el := uniform || fl.BandLink < 0 || int64(fl.Band) == s.minBand[fl.BandLink]
+			s.elig = append(s.elig, el)
 			if !el {
 				continue
 			}
-			w := fl.Weight
-			if w <= 0 {
-				w = 1
-			}
+			w := s.w[i]
 			for _, l := range fl.Links {
 				s.wsum[l] += w
 			}
@@ -197,75 +227,109 @@ func (s *Solver) Solve(caps []float64, flows []Flow, rates []float64) []float64 
 			// No eligible flow crosses any link. Unreachable when the
 			// eligible set is nonempty (every active flow has links);
 			// freeze the remainder defensively rather than spin.
-			for i := range flows {
-				if !s.frozen[i] {
-					s.frozen[i] = true
-					active--
-				}
-			}
 			break
 		}
 		if ds < 0 {
 			ds = 0
-		}
-		for i := range flows {
-			if !s.elig[i] {
-				continue
-			}
-			w := flows[i].Weight
-			if w <= 0 {
-				w = 1
-			}
-			rates[i] += w * ds
 		}
 		for _, l := range s.touched {
 			if s.wsum[l] > 0 {
 				s.capRem[l] -= s.wsum[l] * ds
 			}
 		}
-		// Freeze the eligible flows that hit a saturated link.
-		froze := 0
-		for i := range flows {
-			if !s.elig[i] {
-				continue
-			}
-			for _, l := range flows[i].Links {
-				if s.saturated(l, caps) {
-					s.frozen[i] = true
-					active--
-					froze++
-					break
-				}
-			}
-		}
-		if froze == 0 {
-			// Floating-point slack left the bottleneck marginally above
-			// the saturation threshold; freeze its flows directly so
-			// every round retires at least one.
-			for i := range flows {
-				if !s.elig[i] {
+		// Grow the eligible flows and freeze those that hit a saturated
+		// link, compacting the live list in place.
+		kept := 0
+		for j, i := range s.live {
+			if s.elig[j] {
+				rates[i] += s.w[i] * ds
+				if s.crossesSaturated(flows[i].Links, caps) {
 					continue
 				}
-				for _, l := range flows[i].Links {
-					if l == bottleneck {
-						s.frozen[i] = true
-						active--
-						froze++
-						break
-					}
+			}
+			s.live[kept] = i
+			kept++
+		}
+		if kept == len(s.live) {
+			// Floating-point slack left the bottleneck marginally above
+			// the saturation threshold; freeze its flows directly so
+			// every round retires at least one. Nothing was frozen, so
+			// elig still lines up with live.
+			kept = 0
+			for j, i := range s.live {
+				if s.elig[j] && slices.Contains(flows[i].Links, bottleneck) {
+					continue
+				}
+				s.live[kept] = i
+				kept++
+			}
+		}
+		if kept == len(s.live) {
+			kept = 0
+			for j, i := range s.live {
+				if !s.elig[j] {
+					s.live[kept] = i
+					kept++
 				}
 			}
 		}
-		if froze == 0 {
-			for i := range flows {
-				if s.elig[i] {
-					s.frozen[i] = true
-					active--
-				}
-			}
-		}
+		s.live = s.live[:kept]
 	}
 	return rates
+}
+
+// crossesSaturated reports whether any of links is saturated.
+func (s *Solver) crossesSaturated(links []int, caps []float64) bool {
+	for _, l := range links {
+		if s.saturated(l, caps) {
+			return true
+		}
+	}
+	return false
+}
+
+// loneRate is the allocation of a flow that is alone in its component
+// and crosses each of its links once: the single progressive-filling
+// round, written out. The fill increment is the smallest residual per
+// unit weight, and the rate is weight times it — the same divide and
+// multiply the round performs, so the result is bit-identical (w*(c/w)
+// need not equal c). A flow whose every link gives an increment of at
+// least MaxFloat64 (no finite bottleneck) gets 0, as the round's
+// defensive freeze does.
+func loneRate(caps []float64, fl *Flow) float64 {
+	w := fl.Weight
+	if w <= 0 {
+		w = 1
+	}
+	ds := math.MaxFloat64
+	found := false
+	for _, l := range fl.Links {
+		c := caps[l]
+		if c < 0 {
+			c = 0
+		}
+		if d := c / w; d < ds {
+			ds, found = d, true
+		}
+	}
+	if !found {
+		return 0
+	}
+	if ds < 0 {
+		ds = 0
+	}
+	// The round adds to a zeroed rate; 0 + x turns a -0 into +0.
+	return 0 + w*ds
+}
+
+// distinct reports whether no link repeats in links.
+func distinct(links []int) bool {
+	for i, l := range links {
+		if slices.Contains(links[i+1:], l) {
+			return false
+		}
+	}
+	return true
 }
 
 // Solve is the convenience entry point for one-shot solves (tests,

@@ -232,7 +232,7 @@ func (f *Fabric) sendOneFlow(src int, spec FlowSpec, now float64) (*Flow, int) {
 	fl := f.newFlow()
 	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
 	fl.window = f.sampleWindow()
-	f.flows[fl.ID] = fl
+	f.active++
 	if spec.Dst == src {
 		// Loopback: memory-speed copy, propagation delay only.
 		f.k.PostArgAfter(f.cfg.PropDelaySec, fm.completeFn, fl)
@@ -321,7 +321,7 @@ func (f *Fabric) completeAnalyticFlow(fl *Flow) {
 	}
 	fl.deliveredBytes = fl.Spec.Bytes
 	fl.Finished = now
-	delete(f.flows, fl.ID)
+	f.active--
 	f.completed++
 	if fm := f.flow; fm != nil && fl.Spec.Dst != fl.Spec.Src {
 		m := fm.bandDone[fl.Spec.Src]

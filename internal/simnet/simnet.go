@@ -148,7 +148,7 @@ type Fabric struct {
 	cfg        Config
 	hosts      []*Host
 	nextFlowID uint64
-	flows      map[uint64]*Flow
+	active     int // flows started and not yet delivered
 	completed  uint64
 	// dropRNG is a dedicated stream for injected chunk loss so that
 	// enabling fault injection never perturbs the window/jitter draws
@@ -197,7 +197,6 @@ func New(k *sim.Kernel, rng *sim.RNG, cfg Config) *Fabric {
 		rng:     rng.Stream("simnet"),
 		dropRNG: rng.Stream("simnet-drop"),
 		cfg:     cfg,
-		flows:   make(map[uint64]*Flow),
 	}
 	f.deliverIngressFn = func(a any) {
 		c := a.(*qdisc.Chunk)
@@ -326,7 +325,7 @@ func (f *Fabric) CoreLink(id int) *Link {
 func (f *Fabric) Hosts() []*Host { return f.hosts }
 
 // ActiveFlows returns the number of in-flight flows.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return f.active }
 
 // DroppedChunks returns the number of chunks lost to injected drops
 // (each was subsequently retransmitted).
@@ -492,7 +491,7 @@ func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
 		fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
 		fl.window = f.sampleWindow()
 		flows[i] = fl
-		f.flows[fl.ID] = fl
+		f.active++
 		chunks := f.makeChunks(fl)
 		fl.chunksOutstanding = len(chunks)
 		if fl.Spec.Dst == src {
@@ -689,7 +688,7 @@ func (f *Fabric) chunkDelivered(ch *qdisc.Chunk) {
 				fl.ID, fl.deliveredBytes, fl.Spec.Bytes))
 		}
 		fl.Finished = f.k.Now()
-		delete(f.flows, fl.ID)
+		f.active--
 		f.completed++
 		if f.Tracer != nil {
 			f.Tracer.Emit(trace.Event{
